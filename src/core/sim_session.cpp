@@ -156,26 +156,16 @@ mna::SystemCache& SimSession::solver_cache() {
     // Hand the precomputed union pattern to the new cache when it is
     // still on hand for this assembly; the rare re-creation after an
     // eviction falls back to the cache's own dry-run.
-    mna::SystemCache::Options options{};
-    options.factor_threads = factor_threads_;
     auto cache =
         pattern_coords_.empty()
-            ? std::make_unique<mna::SystemCache>(*assembler_, options)
+            ? std::make_unique<mna::SystemCache>(*assembler_)
             : std::make_unique<mna::SystemCache>(
-                  *assembler_, options, std::move(pattern_coords_),
-                  signature_);
+                  *assembler_, mna::SystemCache::Options{},
+                  std::move(pattern_coords_), signature_);
     pattern_coords_.clear();
     mna::SystemCache& ref = *cache;
     caches_.emplace(signature_, std::move(cache));
     return ref;
-}
-
-void SimSession::set_factor_threads(int threads) {
-    const std::lock_guard<std::mutex> lock(*run_mutex_);
-    factor_threads_ = threads > 0 ? threads : 1;
-    for (auto& [sig, cache] : caches_) {
-        cache->set_factor_threads(factor_threads_);
-    }
 }
 
 // ---- execution --------------------------------------------------------
@@ -273,11 +263,6 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
             after.batched_solves - before.batched_solves;
         result.header.solver.shared_factor_solves =
             after.shared_factor_solves - before.shared_factor_solves;
-        // Schedule shape: current values, not deltas (properties of the
-        // factoriser, not accumulated work).
-        result.header.solver.factor_threads = after.factor_threads;
-        result.header.solver.factor_supernodes = after.factor_supernodes;
-        result.header.solver.factor_levels = after.factor_levels;
     }
     result.header.cache_signature = signature_;
     result.header.elapsed_s = seconds_since(t0);
@@ -301,9 +286,6 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     report.stamp_s = work.stamp_s;
     report.factor_s = work.factor_s;
     report.solve_s = work.solve_s;
-    report.factor_threads = work.factor_threads;
-    report.factor_supernodes = work.factor_supernodes;
-    report.factor_levels = work.factor_levels;
     report.mc_batch_width = work.mc_batch_width;
     report.batched_solves = work.batched_solves;
     report.shared_factor_solves = work.shared_factor_solves;
@@ -588,12 +570,16 @@ SimSession::run_monte_carlo(const MonteCarloSpec& spec,
                                         &solver_cache());
     };
     // Batched: a frontier of spec.batch trials through the session cache,
-    // bit-identical to serial (takes precedence over `parallel`).
+    // bit-identical to serial (takes precedence over `parallel`).  Lane
+    // refactors stay on the calling thread unless `threads` asks for
+    // more than one worker: the default 0 must not start an all-cores
+    // pool per run (a service already runs jobs side by side).
     auto batched = [&] {
         stochastic::Rng rng(spec.seed);
-        return engines::run_monte_carlo_batched(*assembler_, mc, rng, node,
-                                                spec.batch, observer,
-                                                &solver_cache());
+        return engines::run_monte_carlo_batched(
+            *assembler_, mc, rng, node, spec.batch, observer,
+            &solver_cache(),
+            runtime::ExecutionPolicy{spec.threads > 1 ? spec.threads : 1});
     };
     auto parallel = [&] {
         runtime::ExecutionPolicy policy;

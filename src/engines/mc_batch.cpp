@@ -12,6 +12,7 @@
 #include "mna/system_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace nanosim::engines {
@@ -50,7 +51,8 @@ McResult run_monte_carlo_batched(const mna::MnaAssembler& assembler,
                                  const McOptions& options_in,
                                  stochastic::Rng& rng, NodeId node, int batch,
                                  const AnalysisObserver* observer,
-                                 mna::SystemCache* cache) {
+                                 mna::SystemCache* cache,
+                                 const runtime::ExecutionPolicy& policy) {
     const FlopScope scope;
     const McOptions options = normalize_mc_options(assembler, options_in, node);
     const int width = std::clamp(batch, 1, options.runs);
@@ -89,6 +91,13 @@ McResult run_monte_carlo_batched(const mna::MnaAssembler& assembler,
     if (cache == nullptr) {
         local_cache.emplace(assembler);
         cache = &*local_cache;
+    }
+    // Lane-parallel refactors: the one place worker threads pay on the
+    // factor path.  Never spawned when there is a single lane or the
+    // dense path serves every solve.
+    std::optional<runtime::ThreadPool> lane_pool;
+    if (width > 1 && policy.resolved() > 1 && !cache->dense_path()) {
+        lane_pool.emplace(policy.resolved());
     }
 
     obs::Histogram* trial_hist = nullptr;
@@ -259,7 +268,8 @@ McResult run_monte_carlo_batched(const mna::MnaAssembler& assembler,
             // quarantine.
             bool batch_failed = false;
             try {
-                cache->solve_batch(round);
+                cache->solve_batch(round,
+                                   lane_pool ? &*lane_pool : nullptr);
             } catch (const SimError&) {
                 batch_failed = true;
             }

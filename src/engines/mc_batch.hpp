@@ -8,15 +8,15 @@
 //
 //   (a) batches chord evaluation across the active lanes through the
 //       StampProgram SoA path (SystemCache::eval_chords_batch),
-//   (b) batches the due numeric refactors through one ThreadPool
-//       dispatch (SparseLu::refactor_lanes), and
+//   (b) batches the due numeric refactors through one dispatch on a
+//       driver-owned ThreadPool (SparseLu::refactor_lanes), and
 //   (c) solves lanes that share a value plane bit-for-bit — linear
 //       circuits, RHS-only noise perturbations — under a single factor
 //       with the blocked multi-RHS substitution (SparseLu::solve_multi).
 //
 // Hard contract: per-trial adaptive step sequences, waveforms, and
 // ensemble statistics are bit-identical to run_monte_carlo at any batch
-// width and factor thread count.  Batching changes *when* shared work
+// width and worker count.  Batching changes *when* shared work
 // executes, never its operands: every lane's step arithmetic is the
 // exact serial SwecStepper cycle on that lane's state, lane factors
 // reproduce the serial refactor per plane, and any degraded pivot drops
@@ -25,6 +25,7 @@
 #define NANOSIM_ENGINES_MC_BATCH_HPP
 
 #include "engines/monte_carlo.hpp"
+#include "runtime/execution_policy.hpp"
 
 namespace nanosim::engines {
 
@@ -35,13 +36,18 @@ namespace nanosim::engines {
 /// prefix the serial driver would keep), `cache` shares one caller-owned
 /// SystemCache across the lanes.  Without `cache` the driver owns one
 /// internal cache shared by every lane — equivalent to the serial driver
-/// *with* a shared cache, not to serial per-trial caches.
+/// *with* a shared cache, not to serial per-trial caches.  `policy`
+/// sizes the pool the driver owns for lane-parallel refactors (one task
+/// per lane; the default 1 keeps every lane on the calling thread);
+/// results do not depend on it.
 [[nodiscard]] McResult
 run_monte_carlo_batched(const mna::MnaAssembler& assembler,
                         const McOptions& options, stochastic::Rng& rng,
                         NodeId node, int batch,
                         const AnalysisObserver* observer = nullptr,
-                        mna::SystemCache* cache = nullptr);
+                        mna::SystemCache* cache = nullptr,
+                        const runtime::ExecutionPolicy& policy =
+                            runtime::ExecutionPolicy{1});
 
 } // namespace nanosim::engines
 

@@ -25,6 +25,15 @@ double max_abs_value(std::span<const double> values) noexcept {
     return m;
 }
 
+/// Bill `flops` factor operations to the calling thread's counter (the
+/// mul/add halves rounded per call, as every factor path always has).
+void bill_factor(std::uint64_t flops) noexcept {
+    auto& counter = current_flops();
+    counter.lu_factor += flops;
+    counter.mul += flops / 2;
+    counter.add += flops / 2;
+}
+
 } // namespace
 
 std::vector<double> SparseLu::set_pattern_from_triplets(const Triplets& a) {
@@ -58,10 +67,9 @@ SparseLu::SparseLu(std::size_t n, std::vector<std::size_t> col_ptr,
 SparseLu::SparseLu(std::size_t n, std::vector<std::size_t> col_ptr,
                    std::vector<std::size_t> row_idx,
                    std::span<const double> values, const Permutation& ordering,
-                   double pivot_tol, FactorStorage storage)
+                   double pivot_tol)
     : n_(n),
       pivot_tol_(pivot_tol),
-      storage_(storage),
       col_ptr_(std::move(col_ptr)),
       row_idx_(std::move(row_idx)) {
     if (col_ptr_.size() != n_ + 1 || col_ptr_.front() != 0 ||
@@ -114,12 +122,18 @@ std::span<const double> SparseLu::to_internal(std::span<const double> values) {
 void SparseLu::factor_full(std::span<const double> values) {
     const double tol = pivot_tol_ * std::max(max_abs_value(values), 1e-300);
 
-    lcols_.assign(n_, {});
-    ucols_.assign(n_, {});
     pinv_.assign(n_, k_unassigned);
     pivot_row_.assign(n_, k_unassigned);
     reach_ptr_.assign(n_ + 1, 0);
     reach_nodes_.clear();
+    // Columns complete in order, so the flat L/U arrays grow by appending
+    // (clear() keeps their capacity across pivot fallbacks).
+    l_ptr_.assign(n_ + 1, 0);
+    u_ptr_.assign(n_ + 1, 0);
+    l_row_.clear();
+    l_val_.clear();
+    u_row_.clear();
+    u_val_.clear();
 
     std::vector<double> x(n_, 0.0);
     std::vector<std::size_t> mark(n_, k_unassigned); // stamp = current col
@@ -146,9 +160,8 @@ void SparseLu::factor_full(std::span<const double> values) {
                 const std::size_t k = pinv_[node];
                 bool descended = false;
                 if (k != k_unassigned) {
-                    const auto& lcol = lcols_[k];
-                    while (child < lcol.size()) {
-                        const std::size_t next = lcol[child].row;
+                    while (l_ptr_[k] + child < l_ptr_[k + 1]) {
+                        const std::size_t next = l_row_[l_ptr_[k] + child];
                         ++child;
                         if (mark[next] != j) {
                             mark[next] = j;
@@ -158,8 +171,8 @@ void SparseLu::factor_full(std::span<const double> values) {
                         }
                     }
                 }
-                if (!descended &&
-                    (k == k_unassigned || child >= lcols_[k].size())) {
+                if (!descended && (k == k_unassigned ||
+                                   l_ptr_[k] + child >= l_ptr_[k + 1])) {
                     postorder.push_back(node);
                     dfs_stack.pop_back();
                 }
@@ -185,10 +198,10 @@ void SparseLu::factor_full(std::span<const double> values) {
             if (xi == 0.0) {
                 continue;
             }
-            for (const Entry& e : lcols_[k]) {
-                x[e.row] -= e.value * xi;
+            for (std::size_t p = l_ptr_[k]; p < l_ptr_[k + 1]; ++p) {
+                x[l_row_[p]] -= l_val_[p] * xi;
             }
-            flops += 2 * lcols_[k].size();
+            flops += 2 * (l_ptr_[k + 1] - l_ptr_[k]);
         }
 
         // --- Pivot selection among non-pivotal rows. ---
@@ -218,8 +231,6 @@ void SparseLu::factor_full(std::span<const double> values) {
         // full *structural* reach set is kept (exact zeros included) so
         // the recorded pattern stays a valid superset for any later
         // value set fed to refactor(). ---
-        auto& lcol = lcols_[j];
-        auto& ucol = ucols_[j];
         for (const std::size_t i : postorder) {
             const double xi = x[i];
             x[i] = 0.0;
@@ -228,56 +239,31 @@ void SparseLu::factor_full(std::span<const double> values) {
             }
             const std::size_t k = pinv_[i];
             if (k != k_unassigned && k < j) {
-                ucol.push_back(Entry{k, xi});
+                u_row_.push_back(k);
+                u_val_.push_back(xi);
             } else {
-                lcol.push_back(Entry{i, xi / ujj});
+                l_row_.push_back(i);
+                l_val_.push_back(xi / ujj);
                 ++flops;
             }
         }
-        ucol.push_back(Entry{j, ujj}); // diagonal last by construction
+        u_row_.push_back(j); // diagonal last by construction
+        u_val_.push_back(ujj);
+        l_ptr_[j + 1] = l_row_.size();
+        u_ptr_[j + 1] = u_row_.size();
     }
 
     ++full_factors_;
-    auto& counter = current_flops();
-    counter.lu_factor += flops;
-    counter.mul += flops / 2;
-    counter.add += flops / 2;
-
-    if (storage_ == FactorStorage::flat) {
-        flatten_factors();
-    }
+    bill_factor(flops);
+    build_refactor_plan();
 }
 
-void SparseLu::flatten_factors() {
-    std::size_t l_nnz = 0;
-    std::size_t u_nnz = 0;
-    l_ptr_.assign(n_ + 1, 0);
-    u_ptr_.assign(n_ + 1, 0);
-    for (std::size_t j = 0; j < n_; ++j) {
-        l_nnz += lcols_[j].size();
-        u_nnz += ucols_[j].size();
-        l_ptr_[j + 1] = l_nnz;
-        u_ptr_[j + 1] = u_nnz;
-    }
-    l_row_.resize(l_nnz);
-    l_prow_.resize(l_nnz);
-    l_val_.resize(l_nnz);
-    u_row_.resize(u_nnz);
-    u_val_.resize(u_nnz);
-    for (std::size_t j = 0; j < n_; ++j) {
-        std::size_t lp = l_ptr_[j];
-        for (const Entry& e : lcols_[j]) {
-            l_row_[lp] = e.row;
-            l_prow_[lp] = pinv_[e.row];
-            l_val_[lp] = e.value;
-            ++lp;
-        }
-        std::size_t up = u_ptr_[j];
-        for (const Entry& e : ucols_[j]) {
-            u_row_[up] = e.row;
-            u_val_[up] = e.value;
-            ++up;
-        }
+void SparseLu::build_refactor_plan() {
+    // Pivot-space L rows for the substitutions (every row is pivotal
+    // once the factorisation is complete).
+    l_prow_.resize(l_row_.size());
+    for (std::size_t p = 0; p < l_row_.size(); ++p) {
+        l_prow_[p] = pinv_[l_row_[p]];
     }
 
     // Refactor gather plan: column j's reach positions are visited in the
@@ -300,403 +286,21 @@ void SparseLu::flatten_factors() {
             }
         }
     }
-
-    build_schedule();
 }
 
-void SparseLu::build_schedule() {
-    // --- Supernodes: maximal runs of columns with NESTED L patterns —
-    // l_row_(j-1) must equal [pivot_row_[j]] followed by l_row_(j) as an
-    // exact sequence (push order included), which makes the run a perfect
-    // trapezoid over contiguous flat storage AND guarantees the chain
-    // kernel visits memory in the same order as the scalar sweep.  The
-    // mesh/grid workloads' repeated column structure is what makes these
-    // runs long in practice. ---
-    sn_of_col_.assign(n_, 0);
-    sn_ptr_.clear();
-    sn_ptr_.reserve(n_ + 1);
-    sn_ptr_.push_back(0);
-    for (std::size_t j = 1; j < n_; ++j) {
-        const std::size_t prev_begin = l_ptr_[j - 1];
-        const std::size_t prev_len = l_ptr_[j] - prev_begin;
-        const std::size_t cur_len = l_ptr_[j + 1] - l_ptr_[j];
-        const bool nested =
-            j - sn_ptr_.back() < k_supernode_max_cols &&
-            prev_len == cur_len + 1 &&
-            l_row_[prev_begin] == pivot_row_[j] &&
-            std::equal(l_row_.begin() +
-                           static_cast<std::ptrdiff_t>(prev_begin + 1),
-                       l_row_.begin() + static_cast<std::ptrdiff_t>(l_ptr_[j]),
-                       l_row_.begin() +
-                           static_cast<std::ptrdiff_t>(l_ptr_[j]));
-        if (!nested) {
-            sn_ptr_.push_back(j);
-        }
-        sn_of_col_[j] = sn_ptr_.size() - 1;
-    }
-    sn_ptr_.push_back(n_);
-
-    // --- Level schedule over the supernode DAG.  dep(j) = {pinv_[i] :
-    // i in reach(j), pinv_[i] < j} — exactly the columns whose L entries
-    // the numeric sweep of column j reads.  A supernode's level is one
-    // past the deepest external dependency; all supernodes of one level
-    // are mutually independent.  Ascending supernode order is valid
-    // because every dependency has a smaller column (hence supernode)
-    // index. ---
-    const std::size_t nsn = sn_ptr_.size() - 1;
-    std::vector<std::size_t> sn_level(nsn, 0);
-    std::size_t max_level = 0;
-    for (std::size_t s = 0; s < nsn; ++s) {
-        std::size_t lvl = 0;
-        for (std::size_t j = sn_ptr_[s]; j < sn_ptr_[s + 1]; ++j) {
-            for (std::size_t it = reach_ptr_[j]; it < reach_ptr_[j + 1];
-                 ++it) {
-                const std::size_t k = pinv_[reach_nodes_[it]];
-                if (k < j && sn_of_col_[k] != s) {
-                    lvl = std::max(lvl, sn_level[sn_of_col_[k]] + 1);
-                }
-            }
-        }
-        sn_level[s] = lvl;
-        max_level = std::max(max_level, lvl);
-    }
-    const std::size_t nlevels = nsn == 0 ? 0 : max_level + 1;
-    level_ptr_.assign(nlevels + 1, 0);
-    for (std::size_t s = 0; s < nsn; ++s) {
-        ++level_ptr_[sn_level[s] + 1];
-    }
-    for (std::size_t l = 0; l < nlevels; ++l) {
-        level_ptr_[l + 1] += level_ptr_[l];
-    }
-    level_sns_.resize(nsn);
-    std::vector<std::size_t> fill = level_ptr_;
-    for (std::size_t s = 0; s < nsn; ++s) { // ascending within each level
-        level_sns_[fill[sn_level[s]]++] = s;
-    }
-}
-
-bool SparseLu::refactor_supernode(std::size_t s, std::size_t e,
-                                  std::span<const double> values, double tol,
-                                  std::vector<double>& x,
-                                  std::uint64_t& flops) noexcept {
-    // The chain kernel: columns of a supernode are processed in order
-    // (each depends on its predecessor), streaming the supernode's
-    // contiguous L trapezoid [l_ptr_[s], l_ptr_[e]).  Per column this is
-    // the exact serial sweep — same operations, same order — which is
-    // what keeps parallel factors bit-identical to factor_full().
-    std::uint64_t f = 0;
-    for (std::size_t j = s; j < e; ++j) {
-        const std::size_t reach_begin = reach_ptr_[j];
-        const std::size_t reach_end = reach_ptr_[j + 1];
-
-        // Scatter A(:,j) and eliminate along the recorded reach set.
-        for (std::size_t p = col_ptr_[j]; p < col_ptr_[j + 1]; ++p) {
-            x[row_idx_[p]] += values[p];
-        }
-        for (std::size_t it = reach_end; it-- > reach_begin;) {
-            const std::size_t i = reach_nodes_[it];
-            const std::size_t k = pinv_[i];
-            if (k >= j) { // not yet pivotal at this column
-                continue;
-            }
-            const double xi = x[i];
-            if (xi == 0.0) {
-                continue;
-            }
-            const std::size_t lp_end = l_ptr_[k + 1];
-            for (std::size_t p = l_ptr_[k]; p < lp_end; ++p) {
-                x[l_row_[p]] -= l_val_[p] * xi;
-            }
-            f += 2 * (lp_end - l_ptr_[k]);
-        }
-
-        // Pivot check: keep the recorded pivot unless it degraded.
-        const std::size_t pivot_row = pivot_row_[j];
-        const double pivot_mag = std::abs(x[pivot_row]);
-        double cand_max = 0.0;
-        for (std::size_t it = reach_begin; it < reach_end; ++it) {
-            const std::size_t i = reach_nodes_[it];
-            if (pinv_[i] >= j) {
-                cand_max = std::max(cand_max, std::abs(x[i]));
-            }
-        }
-        if (pivot_mag < tol ||
-            pivot_mag < k_refactor_pivot_ratio * cand_max) {
-            // Degraded: restore x's zero invariant, flag the column, and
-            // bill NOTHING for the attempt — the fallback full
-            // factorisation accounts for this step's factor cost exactly
-            // once (and the tally stays identical at any thread count).
-            for (std::size_t it = reach_begin; it < reach_end; ++it) {
-                x[reach_nodes_[it]] = 0.0;
-            }
-            col_failed_[j] = 1;
-            return false;
-        }
-        const double ujj = x[pivot_row];
-
-        // Gather through the precomputed destination plan.
-        for (std::size_t it = reach_begin; it < reach_end; ++it) {
-            const std::size_t i = reach_nodes_[it];
-            const double xi = x[i];
-            x[i] = 0.0;
-            const std::ptrdiff_t dst = gather_dst_[it];
-            if (dst >= 0) {
-                u_val_[static_cast<std::size_t>(dst)] = xi;
-            } else {
-                l_val_[static_cast<std::size_t>(~dst)] = xi / ujj;
-                ++f;
-            }
-        }
-    }
-    flops += f;
-    return true;
-}
-
-bool SparseLu::try_refactor_numeric(std::span<const double> values) {
-    if (storage_ == FactorStorage::columns) {
-        return try_refactor_numeric_columns(values);
-    }
-    const double tol = pivot_tol_ * std::max(max_abs_value(values), 1e-300);
-
-    if (pool_ != nullptr && n_ >= k_parallel_min_cols) {
-        return try_refactor_parallel(values, tol);
-    }
-
-    if (work_.size() != n_) {
-        work_.assign(n_, 0.0);
-    }
-    if (col_failed_.size() != n_) {
-        col_failed_.assign(n_, 0);
-    }
-    std::uint64_t flops = 0;
-
-    // Serial path: walk the supernodes in column order through the chain
-    // kernel — operation-for-operation the plain j = 0..n-1 sweep of
-    // factor_full() minus the DFS, so the factors stay bit-identical.
-    const std::size_t nsn = supernode_count();
-    for (std::size_t s = 0; s < nsn; ++s) {
-        if (!refactor_supernode(sn_ptr_[s], sn_ptr_[s + 1], values, tol,
-                                work_, flops)) {
-            // Degraded pivot: bail out (billing nothing — see the kernel)
-            // so the caller can redo a full re-pivoting factorisation.
-            std::fill(col_failed_.begin(), col_failed_.end(), 0);
-            return false;
-        }
-    }
-
-    ++fast_refactors_;
-    auto& counter = current_flops();
-    counter.lu_factor += flops;
-    counter.mul += flops / 2;
-    counter.add += flops / 2;
-    return true;
-}
-
-bool SparseLu::try_refactor_parallel(std::span<const double> values,
-                                     double tol) {
-    // Level-scheduled parallel sweep.  Within a level, supernodes are
-    // mutually independent: each writes only its own columns' L/U slices
-    // and its private scatter vector, and reads L columns finished in
-    // earlier levels.  Chunk boundaries depend only on the schedule and
-    // thread count — never on timing — and each column's arithmetic is
-    // the exact serial kernel, so the factors are bit-identical to the
-    // serial path at any thread count.
-    const std::size_t nthreads = std::max<std::size_t>(pool_->size(), 1);
-    if (par_x_.size() != nthreads) {
-        par_x_.assign(nthreads, std::vector<double>(n_, 0.0));
-    }
-    par_flops_.assign(nthreads, 0);
-    if (col_failed_.size() != n_) {
-        col_failed_.assign(n_, 0);
-    }
-    if (work_.size() != n_) {
-        work_.assign(n_, 0.0);
-    }
-
-    bool failed = false;
-    std::uint64_t serial_flops = 0;
-    const std::size_t nlevels = level_count();
-    for (std::size_t l = 0; l < nlevels && !failed; ++l) {
-        const std::size_t lvl_begin = level_ptr_[l];
-        const std::size_t lvl_count = level_ptr_[l + 1] - lvl_begin;
-        const std::size_t nchunks = std::min(lvl_count, nthreads);
-
-        if (nchunks < k_parallel_min_level_sns) {
-            // Narrow level: run inline on the caller's scratch — cheaper
-            // than a task round-trip and identical arithmetic.
-            for (std::size_t c = 0; c < lvl_count; ++c) {
-                const std::size_t s = level_sns_[lvl_begin + c];
-                if (!refactor_supernode(sn_ptr_[s], sn_ptr_[s + 1], values,
-                                        tol, work_, serial_flops)) {
-                    failed = true;
-                    break;
-                }
-            }
-            continue;
-        }
-
-        runtime::parallel_for(*pool_, nchunks, [&](std::size_t c) {
-            obs::Span span("factor.level", "linalg");
-            // Deterministic chunk boundaries: supernode c*count/n ..
-            // (c+1)*count/n of this level, ascending.  Chunk c owns
-            // scratch slot c — chunks of one level never share a slot.
-            const std::size_t b = lvl_begin + c * lvl_count / nchunks;
-            const std::size_t e = lvl_begin + (c + 1) * lvl_count / nchunks;
-            std::vector<double>& x = par_x_[c];
-            for (std::size_t q = b; q < e; ++q) {
-                const std::size_t s = level_sns_[q];
-                if (!refactor_supernode(sn_ptr_[s], sn_ptr_[s + 1], values,
-                                        tol, x, par_flops_[c])) {
-                    // col_failed_ flags the column; finish nothing
-                    // further in this chunk.  Other chunks complete —
-                    // their columns are independent of ours.
-                    break;
-                }
-            }
-        });
-
-        // Post-level scan, ascending: the lowest-indexed failing column
-        // decides the fallback — same verdict as the serial sweep, no
-        // matter how the chunks interleaved.
-        for (std::size_t q = lvl_begin; q < level_ptr_[l + 1] && !failed;
-             ++q) {
-            const std::size_t s = level_sns_[q];
-            for (std::size_t j = sn_ptr_[s]; j < sn_ptr_[s + 1]; ++j) {
-                if (col_failed_[j] != 0) {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    if (failed) {
-        // Bill nothing for the abandoned attempt: the fallback full
-        // factorisation accounts for this step exactly once, keeping
-        // SolverWork identical at any thread count.
-        std::fill(col_failed_.begin(), col_failed_.end(), 0);
-        return false;
-    }
-
-    // Integer flop totals commute across chunks: the sum equals the
-    // serial tally exactly, billed once from the calling thread.
-    std::uint64_t flops = serial_flops;
-    for (const std::uint64_t f : par_flops_) {
-        flops += f;
-    }
-    ++fast_refactors_;
-    auto& counter = current_flops();
-    counter.lu_factor += flops;
-    counter.mul += flops / 2;
-    counter.add += flops / 2;
-    return true;
-}
-
-bool SparseLu::try_refactor_numeric_columns(std::span<const double> values) {
-    // The seed (pre-flattening) numeric sweep, verbatim: per-column
-    // vectors with clear()+push_back gather.  Same operations in the
-    // same order as the flat sweep — bit-identical results — kept as the
-    // measured baseline of the device-evaluation benches.
-    const double tol = pivot_tol_ * std::max(max_abs_value(values), 1e-300);
-
-    if (work_.size() != n_) {
-        work_.assign(n_, 0.0);
-    }
-    std::vector<double>& x = work_;
-    std::uint64_t flops = 0;
-
-    for (std::size_t j = 0; j < n_; ++j) {
-        const std::size_t reach_begin = reach_ptr_[j];
-        const std::size_t reach_end = reach_ptr_[j + 1];
-
-        for (std::size_t p = col_ptr_[j]; p < col_ptr_[j + 1]; ++p) {
-            x[row_idx_[p]] += values[p];
-        }
-        for (std::size_t it = reach_end; it-- > reach_begin;) {
-            const std::size_t i = reach_nodes_[it];
-            const std::size_t k = pinv_[i];
-            if (k >= j) {
-                continue;
-            }
-            const double xi = x[i];
-            if (xi == 0.0) {
-                continue;
-            }
-            for (const Entry& e : lcols_[k]) {
-                x[e.row] -= e.value * xi;
-            }
-            flops += 2 * lcols_[k].size();
-        }
-
-        const std::size_t pivot_row = pivot_row_[j];
-        const double pivot_mag = std::abs(x[pivot_row]);
-        double cand_max = 0.0;
-        for (std::size_t it = reach_begin; it < reach_end; ++it) {
-            const std::size_t i = reach_nodes_[it];
-            if (pinv_[i] >= j) {
-                cand_max = std::max(cand_max, std::abs(x[i]));
-            }
-        }
-        if (pivot_mag < tol ||
-            pivot_mag < k_refactor_pivot_ratio * cand_max) {
-            for (std::size_t it = reach_begin; it < reach_end; ++it) {
-                x[reach_nodes_[it]] = 0.0;
-            }
-            // Abandoned attempt: bill nothing.  The caller's fallback
-            // full factorisation accounts for this step exactly once —
-            // previously the partial sweep was billed here AND the full
-            // factor billed again, double-counting the step's flops.
-            return false;
-        }
-        const double ujj = x[pivot_row];
-
-        auto& lcol = lcols_[j];
-        auto& ucol = ucols_[j];
-        lcol.clear();
-        ucol.clear();
-        for (std::size_t it = reach_begin; it < reach_end; ++it) {
-            const std::size_t i = reach_nodes_[it];
-            const double xi = x[i];
-            x[i] = 0.0;
-            if (i == pivot_row) {
-                continue;
-            }
-            const std::size_t k = pinv_[i];
-            if (k < j) {
-                ucol.push_back(Entry{k, xi});
-            } else {
-                lcol.push_back(Entry{i, xi / ujj});
-                ++flops;
-            }
-        }
-        ucol.push_back(Entry{j, ujj});
-    }
-
-    ++fast_refactors_;
-    auto& counter = current_flops();
-    counter.lu_factor += flops;
-    counter.mul += flops / 2;
-    counter.add += flops / 2;
-    return true;
-}
-
-bool SparseLu::refactor_lane(std::span<const double> values, double tol,
-                             LaneFactor& f, std::vector<double>& x,
+bool SparseLu::numeric_sweep(std::span<const double> values, double tol,
+                             double* lv, double* uv, std::vector<double>& x,
                              std::uint64_t& flops) const noexcept {
-    // One lane's whole-matrix sweep: per column exactly the serial
-    // refactor_supernode arithmetic, reading/writing the LANE's value
-    // planes instead of the members.  Earlier columns' L entries are the
-    // lane's own (written by this sweep), so the elimination operands
-    // match a serial refactor of the same plane bit for bit.
-    f.l_val.resize(l_val_.size());
-    f.u_val.resize(u_val_.size());
-    double* lv = f.l_val.data();
-    double* uv = f.u_val.data();
+    // factor_full()'s per-column arithmetic minus the DFS and the pivot
+    // search: earlier columns' L entries are read from the planes this
+    // sweep writes, so the operands match a fresh factorisation of the
+    // same values bit for bit while the recorded pivots hold.
     std::uint64_t fl = 0;
     for (std::size_t j = 0; j < n_; ++j) {
         const std::size_t reach_begin = reach_ptr_[j];
         const std::size_t reach_end = reach_ptr_[j + 1];
 
+        // Scatter A(:,j) and eliminate along the recorded reach set.
         for (std::size_t p = col_ptr_[j]; p < col_ptr_[j + 1]; ++p) {
             x[row_idx_[p]] += values[p];
         }
@@ -717,6 +321,7 @@ bool SparseLu::refactor_lane(std::span<const double> values, double tol,
             fl += 2 * (lp_end - l_ptr_[k]);
         }
 
+        // Pivot check: keep the recorded pivot unless it degraded.
         const std::size_t pivot_row = pivot_row_[j];
         const double pivot_mag = std::abs(x[pivot_row]);
         double cand_max = 0.0;
@@ -728,10 +333,9 @@ bool SparseLu::refactor_lane(std::span<const double> values, double tol,
         }
         if (pivot_mag < tol ||
             pivot_mag < k_refactor_pivot_ratio * cand_max) {
-            // Degraded: restore x's zero invariant and bill nothing —
-            // the caller replays every lane through the serial
-            // refactor()/fallback path, which accounts for this exactly
-            // as the serial driver would.
+            // Degraded: restore x's zero invariant and bill NOTHING for
+            // the attempt — the caller's fallback full factorisation (or
+            // serial replay of the lanes) accounts for the step once.
             for (std::size_t it = reach_begin; it < reach_end; ++it) {
                 x[reach_nodes_[it]] = 0.0;
             }
@@ -739,6 +343,7 @@ bool SparseLu::refactor_lane(std::span<const double> values, double tol,
         }
         const double ujj = x[pivot_row];
 
+        // Gather through the precomputed destination plan.
         for (std::size_t it = reach_begin; it < reach_end; ++it) {
             const std::size_t i = reach_nodes_[it];
             const double xi = x[i];
@@ -758,13 +363,14 @@ bool SparseLu::refactor_lane(std::span<const double> values, double tol,
 
 bool SparseLu::refactor_lanes(
     std::span<const std::span<const double>> lane_values,
-    std::span<LaneFactor> factors, std::span<std::uint64_t> lane_flops) {
+    std::span<LaneFactor> factors, std::span<std::uint64_t> lane_flops,
+    runtime::ThreadPool* pool) {
     const std::size_t m = lane_values.size();
     if (factors.size() != m || lane_flops.size() != m) {
         throw SimError("SparseLu::refactor_lanes: lane span size mismatch");
     }
-    if (storage_ != FactorStorage::flat || m == 0) {
-        return false; // caller replays lanes through the serial path
+    if (m == 0) {
+        return false; // nothing to factor: the caller's replay is a no-op
     }
     for (const std::span<const double> values : lane_values) {
         if (values.size() != row_idx_.size()) {
@@ -800,14 +406,18 @@ bool SparseLu::refactor_lanes(
         if (x.size() != n_) {
             x.assign(n_, 0.0);
         }
+        LaneFactor& f = factors[i];
+        f.l_val.resize(l_val_.size());
+        f.u_val.resize(u_val_.size());
         lane_flops[i] = 0;
-        ok[i] =
-            refactor_lane(internal, tol, factors[i], x, lane_flops[i]) ? 1
-                                                                       : 0;
+        ok[i] = numeric_sweep(internal, tol, f.l_val.data(), f.u_val.data(),
+                              x, lane_flops[i])
+                    ? 1
+                    : 0;
     };
 
-    if (pool_ != nullptr && m > 1 && n_ >= k_parallel_min_cols) {
-        runtime::parallel_for(*pool_, m, [&](std::size_t i) {
+    if (pool != nullptr && m > 1 && n_ >= k_parallel_min_cols) {
+        runtime::parallel_for(*pool, m, [&](std::size_t i) {
             obs::Span span("factor.lane", "linalg");
             run_lane(i);
         });
@@ -826,11 +436,8 @@ bool SparseLu::refactor_lanes(
     // Bill once from the calling thread, lane by lane so the rounding of
     // the mul/add halves matches m serial refactors of the same planes.
     fast_refactors_ += m;
-    auto& counter = current_flops();
-    for (std::size_t i = 0; i < m; ++i) {
-        counter.lu_factor += lane_flops[i];
-        counter.mul += lane_flops[i] / 2;
-        counter.add += lane_flops[i] / 2;
+    for (const std::uint64_t f : lane_flops) {
+        bill_factor(f);
     }
     return true;
 }
@@ -850,14 +457,6 @@ void SparseLu::solve_multi(std::span<const Vector* const> rhs,
     const std::size_t m = rhs.size();
     if (out.size() != m) {
         throw SimError("SparseLu::solve_multi: rhs/out span size mismatch");
-    }
-    if (storage_ == FactorStorage::columns) {
-        // Legacy storage has no flat planes (and no LaneFactor source):
-        // per-column solve, which already bills per column.
-        for (std::size_t c = 0; c < m; ++c) {
-            *out[c] = solve(*rhs[c]);
-        }
-        return;
     }
     const double* lv = f != nullptr ? f->l_val.data() : l_val_.data();
     const double* uv = f != nullptr ? f->u_val.data() : u_val_.data();
@@ -962,9 +561,19 @@ bool SparseLu::refactor(std::span<const double> values) {
                        "cached pattern");
     }
     const std::span<const double> internal = to_internal(values);
-    if (try_refactor_numeric(internal)) {
+    const double tol = pivot_tol_ * std::max(max_abs_value(internal), 1e-300);
+    if (work_.size() != n_) {
+        work_.assign(n_, 0.0);
+    }
+    std::uint64_t flops = 0;
+    if (numeric_sweep(internal, tol, l_val_.data(), u_val_.data(), work_,
+                      flops)) {
+        ++fast_refactors_;
+        bill_factor(flops);
         return true;
     }
+    // Degraded pivot (nothing billed): redo a full re-pivoting
+    // factorisation, which rebuilds the planes the sweep left half done.
     factor_full(internal);
     return false;
 }
@@ -993,14 +602,7 @@ bool SparseLu::refactor(const Triplets& a) {
 }
 
 std::size_t SparseLu::nnz_factors() const noexcept {
-    std::size_t nnz = 0;
-    for (const auto& c : lcols_) {
-        nnz += c.size();
-    }
-    for (const auto& c : ucols_) {
-        nnz += c.size();
-    }
-    return nnz;
+    return l_val_.size() + u_val_.size();
 }
 
 Vector SparseLu::solve(const Vector& b) const {
@@ -1025,10 +627,6 @@ Vector SparseLu::solve(const Vector& b) const {
 }
 
 void SparseLu::solve_internal(const Vector& b, Vector& y) const {
-    if (storage_ == FactorStorage::columns) {
-        solve_internal_columns(b, y);
-        return;
-    }
     std::uint64_t flops = 0;
 
     // y = P b  (y indexed by pivot position).
@@ -1065,46 +663,6 @@ void SparseLu::solve_internal(const Vector& b, Vector& y) const {
             y[u_row_[k]] -= u_val_[k] * xj;
         }
         flops += 2 * (up_end - 1 - up);
-    }
-
-    auto& counter = current_flops();
-    counter.lu_solve += flops;
-    counter.mul += flops / 2;
-    counter.add += flops / 2;
-}
-
-void SparseLu::solve_internal_columns(const Vector& b, Vector& y) const {
-    // Seed (column-vector) substitution loops — see
-    // try_refactor_numeric_columns for why they are kept.
-    std::uint64_t flops = 0;
-
-    y.assign(n_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-        y[pinv_[i]] = b[i];
-    }
-    for (std::size_t j = 0; j < n_; ++j) {
-        const double yj = y[j];
-        if (yj == 0.0) {
-            continue;
-        }
-        for (const Entry& e : lcols_[j]) {
-            y[pinv_[e.row]] -= e.value * yj;
-        }
-        flops += 2 * lcols_[j].size();
-    }
-    for (std::size_t jj = n_; jj-- > 0;) {
-        const auto& ucol = ucols_[jj];
-        const double ujj = ucol.back().value;
-        const double xj = y[jj] / ujj;
-        y[jj] = xj;
-        ++flops;
-        if (xj == 0.0) {
-            continue;
-        }
-        for (std::size_t k = 0; k + 1 < ucol.size(); ++k) {
-            y[ucol[k].row] -= ucol[k].value * xj;
-        }
-        flops += 2 * (ucol.size() - 1);
     }
 
     auto& counter = current_flops();

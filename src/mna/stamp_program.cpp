@@ -253,7 +253,7 @@ StampProgram::StampProgram(const MnaAssembler& assembler,
 
 // ---------------------------------------------------------------------------
 // Device-model evaluation: one tight loop per device class.  Each branch
-// reproduces the legacy virtual chain's arithmetic exactly — see the
+// reproduces the virtual device chain's arithmetic exactly — see the
 // bit-identity contract in the header.
 // ---------------------------------------------------------------------------
 
@@ -633,7 +633,8 @@ void StampProgram::apply_nortons(std::span<const double> g,
 
 void StampProgram::add_swec_gdiag(double t, std::span<const double> geq,
                                   std::span<double> gdiag) const {
-    // Same accumulation order as the legacy scratch-builder pass:
+    // Same accumulation order as the scratch-builder pass over the
+    // virtual stamps (SystemCache's fallback when !gdiag_fast()):
     // time-varying devices first, nonlinear devices second, each
     // contributing its (a,a) then (b,b) diagonal entry.
     for (const TvEntry& e : tv_) {

@@ -26,8 +26,9 @@
 //  * the node-diagonal conductance sums the adaptive step bound
 //    (eq. 12) needs, replacing the per-step scratch MnaBuilder.
 //
-// Bit-identity contract: every fast path reproduces the legacy stamping
-// path's arithmetic exactly — same evaluation expressions (shared free
+// Bit-identity contract: every fast path reproduces the arithmetic of
+// MnaAssembler's virtual stamps (stamp_*_into, the oracle the tests
+// compare against) exactly — same evaluation expressions (shared free
 // functions / devirtualised calls into the same member functions), same
 // per-slot accumulation order (devices in assembler order, entries in
 // stamp-call order).  Devices of classes the program does not recognise
@@ -161,7 +162,8 @@ public:
 
     /// ADD the node-diagonal conductance contributions of time-varying
     /// devices (at time t) and SWEC chords `geq` to gdiag — the eq. (12)
-    /// step-bound input, replacing the legacy scratch-builder pass.
+    /// step-bound input, replacing a scratch-builder pass over the
+    /// virtual stamps.
     void add_swec_gdiag(double t, std::span<const double> geq,
                         std::span<double> gdiag) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <new>
 #include <optional>
 #include <utility>
@@ -11,7 +10,6 @@
 #include "linalg/lu.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
 #include "util/flops.hpp"
@@ -329,28 +327,6 @@ void SystemCache::rebind(const MnaAssembler& assembler) {
 
 SystemCache::~SystemCache() = default;
 
-void SystemCache::set_factor_threads(int threads) {
-    const int want = threads > 0 ? threads : 1;
-    options_.factor_threads = want;
-    if (want <= 1) {
-        if (lu_) {
-            lu_->set_refactor_pool(nullptr);
-        }
-        factor_pool_.reset();
-        return;
-    }
-    if (!factor_pool_ ||
-        factor_pool_->size() != static_cast<std::size_t>(want)) {
-        if (lu_) { // detach before the old pool is torn down
-            lu_->set_refactor_pool(nullptr);
-        }
-        factor_pool_ = std::make_unique<runtime::ThreadPool>(want);
-    }
-    if (lu_) {
-        lu_->set_refactor_pool(factor_pool_.get());
-    }
-}
-
 void SystemCache::freeze_pattern(
     std::vector<std::pair<std::size_t, std::size_t>> coords) {
     // The symbolic-analysis bucket: pattern freeze + ordering selection
@@ -393,9 +369,6 @@ void SystemCache::freeze_pattern(
 
 void SystemCache::rebuild_program() {
     program_.reset();
-    if (!options_.use_stamp_program) {
-        return;
-    }
     program_ = std::make_unique<StampProgram>(
         *assembler_, [this](std::size_t row, std::size_t col) {
             const std::size_t s = slot_of(row, col);
@@ -513,26 +486,13 @@ void SystemCache::eval_chords(std::span<const double> x,
     const ScopedTimer timer(stats_.eval_s, "eval");
     const NodeVoltages v = assembler_->view(x);
     const NodeVoltages rate_view = assembler_->view(dvdt);
-    if (program_ != nullptr) {
-        program_->eval_chords(v, rate_view, with_rate, geq, geq_rate);
-        return;
-    }
-    const auto& nonlinear = assembler_->nonlinear_devices();
-    for (std::size_t k = 0; k < nonlinear.size(); ++k) {
-        geq[k] = nonlinear[k]->swec_conductance(v);
-        if (!geq_rate.empty()) {
-            geq_rate[k] =
-                with_rate
-                    ? nonlinear[k]->swec_conductance_rate(v, rate_view)
-                    : 0.0;
-        }
-    }
+    program_->eval_chords(v, rate_view, with_rate, geq, geq_rate);
 }
 
 linalg::Vector
 SystemCache::rhs(double t, const MnaAssembler::NoiseRealization* noise) {
     const ScopedTimer timer(stats_.stamp_s, "stamp");
-    if (program_ != nullptr && program_->rhs_fast()) {
+    if (program_->rhs_fast()) {
         linalg::Vector out;
         program_->eval_rhs(t, noise, out);
         return out;
@@ -542,32 +502,20 @@ SystemCache::rhs(double t, const MnaAssembler::NoiseRealization* noise) {
 
 void SystemCache::restamp_time_varying(double t) {
     const ScopedTimer timer(stats_.stamp_s, "stamp");
-    if (program_ != nullptr) {
-        program_->apply_time_varying(t, values_, *stamper_);
-    } else {
-        assembler_->stamp_time_varying_into(t, *stamper_);
-    }
+    program_->apply_time_varying(t, values_, *stamper_);
 }
 
 void SystemCache::restamp_swec(std::span<const double> geq) {
     const ScopedTimer timer(stats_.stamp_s, "stamp");
-    if (program_ != nullptr) {
-        program_->apply_swec(geq, values_, *stamper_);
-    } else {
-        assembler_->stamp_swec_into(geq, *stamper_);
-    }
+    program_->apply_swec(geq, values_, *stamper_);
 }
 
 void SystemCache::restamp_nr(std::span<const double> x) {
     const ScopedTimer timer(stats_.stamp_s, "stamp");
-    if (program_ != nullptr) {
-        if (bound_rhs_ == nullptr) {
-            throw AnalysisError("SystemCache::restamp_nr: no begin() rhs");
-        }
-        program_->apply_nr(x, values_, *bound_rhs_, *stamper_);
-    } else {
-        assembler_->stamp_nr_into(x, *stamper_);
+    if (bound_rhs_ == nullptr) {
+        throw AnalysisError("SystemCache::restamp_nr: no begin() rhs");
     }
+    program_->apply_nr(x, values_, *bound_rhs_, *stamper_);
 }
 
 void SystemCache::restamp_nortons(std::span<const double> g,
@@ -587,13 +535,13 @@ void SystemCache::add_node_diag(std::size_t node_row, double value) {
 void SystemCache::swec_gdiag(double t, std::span<const double> geq,
                              std::span<double> gdiag) {
     const ScopedTimer timer(stats_.stamp_s, "stamp");
-    if (program_ != nullptr && program_->gdiag_fast()) {
+    if (program_->gdiag_fast()) {
         program_->add_swec_gdiag(t, geq, gdiag);
         return;
     }
-    // Legacy pass: stamp time-varying + SWEC contributions into a
-    // scratch builder and keep the node-diagonal entries (exactly the
-    // historical per-step block of run_tran_swec).
+    // The program declines this circuit (unrecognised device classes):
+    // stamp time-varying + SWEC contributions into a scratch builder and
+    // keep the node-diagonal entries.
     const auto nn = static_cast<std::size_t>(assembler_->num_nodes());
     MnaBuilder scratch(assembler_->num_nodes(), assembler_->num_branches());
     assembler_->stamp_time_varying_into(t, scratch);
@@ -613,20 +561,10 @@ double SystemCache::device_step_bound(std::span<const double> x,
     const ScopedTimer timer(stats_.eval_s, "eval");
     const NodeVoltages v = assembler_->view(x);
     const NodeVoltages rate = assembler_->view(dvdt);
-    if (program_ != nullptr) {
-        return program_->device_step_bound(v, rate, geq, geq_rate, eps);
-    }
-    double bound = std::numeric_limits<double>::infinity();
-    for (const Device* dev : assembler_->nonlinear_devices()) {
-        bound = std::min(bound, dev->step_limit(v, rate, eps));
-    }
-    return bound;
+    return program_->device_step_bound(v, rate, geq, geq_rate, eps);
 }
 
 void SystemCache::configure_tables(const TableConfig& cfg) {
-    if (program_ == nullptr) {
-        return; // legacy baseline: closed forms only
-    }
     if (!cfg.enabled) {
         program_->unbind_tables();
         bound_table_cfg_ = cfg;
@@ -737,27 +675,12 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
     }
 
     try {
-        // The ScopedTimer bills this block's WALL time on the calling
-        // thread.  The parallel refactor's per-worker durations appear
-        // as "factor.level" trace spans only — summing them here would
-        // report factor_s > elapsed_s on multi-core.
         const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
         maybe_inject_factor_alloc();
         if (!lu_) {
-            // The legacy (no-program) baseline also keeps the seed's
-            // column-vector factor storage, so benches measuring
-            // "program vs legacy" compare whole per-step hot paths.
             lu_ = std::make_unique<linalg::SparseLu>(
                 n_, col_ptr_, row_idx_, std::span<const double>(values_),
-                ordering_, options_.pivot_tol,
-                options_.use_stamp_program
-                    ? linalg::FactorStorage::flat
-                    : linalg::FactorStorage::columns);
-            if (options_.factor_threads > 1 && !factor_pool_) {
-                factor_pool_ = std::make_unique<runtime::ThreadPool>(
-                    options_.factor_threads);
-            }
-            lu_->set_refactor_pool(factor_pool_.get());
+                ordering_, options_.pivot_tol);
             ++stats_.full_factors;
         } else if (lu_->refactor(std::span<const double>(values_))) {
             ++stats_.fast_refactors;
@@ -777,12 +700,8 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
     }
     // Re-read every step: a degraded-pivot fallback re-pivots and can
     // change the factor fill (O(n) column-size sum — noise next to the
-    // solve) and reshape the level schedule.
+    // solve).
     stats_.factor_nnz = lu_->nnz_factors();
-    stats_.factor_threads =
-        factor_pool_ ? factor_pool_->size() : std::size_t{1};
-    stats_.factor_supernodes = lu_->supernode_count();
-    stats_.factor_levels = lu_->level_count();
     const ScopedTimer timer(stats_.solve_s, "solve");
     return lu_->solve(rhs);
 }
@@ -797,38 +716,20 @@ bool SystemCache::capture_plane(std::vector<double>& out) const {
 
 void SystemCache::eval_chords_batch(std::span<const EvalLane> lanes) {
     const ScopedTimer timer(stats_.eval_s, "eval");
-    if (program_ != nullptr) {
-        std::vector<StampProgram::EvalLane> plan(lanes.size());
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            plan[i] = StampProgram::EvalLane{
-                .v = assembler_->view(lanes[i].x),
-                .dvdt = assembler_->view(lanes[i].dvdt),
-                .with_rate = lanes[i].with_rate,
-                .geq = lanes[i].geq,
-                .geq_rate = lanes[i].geq_rate};
-        }
-        program_->eval_chords_multi(plan);
-        return;
+    std::vector<StampProgram::EvalLane> plan(lanes.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        plan[i] = StampProgram::EvalLane{
+            .v = assembler_->view(lanes[i].x),
+            .dvdt = assembler_->view(lanes[i].dvdt),
+            .with_rate = lanes[i].with_rate,
+            .geq = lanes[i].geq,
+            .geq_rate = lanes[i].geq_rate};
     }
-    // Legacy fallback: the virtual per-device sweep, lane by lane —
-    // exactly eval_chords' loop on each lane's state.
-    const auto& nonlinear = assembler_->nonlinear_devices();
-    for (const EvalLane& lane : lanes) {
-        const NodeVoltages v = assembler_->view(lane.x);
-        const NodeVoltages rate_view = assembler_->view(lane.dvdt);
-        for (std::size_t k = 0; k < nonlinear.size(); ++k) {
-            lane.geq[k] = nonlinear[k]->swec_conductance(v);
-            if (!lane.geq_rate.empty()) {
-                lane.geq_rate[k] =
-                    lane.with_rate
-                        ? nonlinear[k]->swec_conductance_rate(v, rate_view)
-                        : 0.0;
-            }
-        }
-    }
+    program_->eval_chords_multi(plan);
 }
 
-void SystemCache::solve_batch(std::span<SolveLane> lanes) {
+void SystemCache::solve_batch(std::span<SolveLane> lanes,
+                              runtime::ThreadPool* pool) {
     if (lanes.empty()) {
         return;
     }
@@ -843,9 +744,7 @@ void SystemCache::solve_batch(std::span<SolveLane> lanes) {
         lane.x = solve(lane.rhs);
     };
 
-    const bool can_batch = !dense_path() && lu_ != nullptr &&
-                           lu_->storage() == linalg::FactorStorage::flat;
-    if (!can_batch) {
+    if (dense_path() || lu_ == nullptr) {
         for (SolveLane& lane : lanes) {
             replay(lane);
         }
@@ -894,12 +793,12 @@ void SystemCache::solve_batch(std::span<SolveLane> lanes) {
     bool ok = false;
     {
         const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
-        ok = lu_->refactor_lanes(planes, factors, rep_flops);
+        ok = lu_->refactor_lanes(planes, factors, rep_flops, pool);
     }
     if (!ok) {
-        // A degraded pivot anywhere (or legacy storage): nothing was
-        // billed; replay every lane in order so the pivot fallback runs
-        // exactly where and how the serial driver would run it.
+        // A degraded pivot anywhere: nothing was billed; replay every
+        // lane in order so the pivot fallback runs exactly where and how
+        // the serial driver would run it.
         for (SolveLane& lane : lanes) {
             replay(lane);
         }
@@ -950,14 +849,6 @@ void SystemCache::solve_batch(std::span<SolveLane> lanes) {
     }
     stats_.batched_solves += m;
     stats_.shared_factor_solves += m - reps.size();
-
-    // Lane refactors share the live symbolic analysis, so the schedule
-    // shape is unchanged — refresh like solve() for consistency.
-    stats_.factor_nnz = lu_->nnz_factors();
-    stats_.factor_threads =
-        factor_pool_ ? factor_pool_->size() : std::size_t{1};
-    stats_.factor_supernodes = lu_->supernode_count();
-    stats_.factor_levels = lu_->level_count();
 }
 
 } // namespace nanosim::mna

@@ -44,6 +44,10 @@
 #include "mna/mna.hpp"
 #include "mna/stamp_program.hpp"
 
+namespace nanosim::runtime {
+class ThreadPool;
+} // namespace nanosim::runtime
+
 namespace nanosim::mna {
 
 /// Union stamp-pattern coordinates of an assembled circuit — every
@@ -89,18 +93,6 @@ public:
         /// predicted fill of natural vs RCM vs minimum-degree at freeze
         /// time; the explicit values force one (tests / benches).
         linalg::Ordering ordering = linalg::Ordering::automatic;
-        /// Compile a StampProgram at pattern-freeze time (the default):
-        /// per-step restamps and chord evaluations run through flat
-        /// slot/SoA plans with zero virtual dispatch.  `false` keeps the
-        /// legacy virtual-stamping path — the benches' baseline, bit-
-        /// identical to the program by contract.
-        bool use_stamp_program = true;
-        /// Worker threads for the level-scheduled parallel refactor
-        /// (flat sparse path only).  1 = serial; >1 lazily spawns an
-        /// owned pool and attaches it to the SparseLu.  Results are
-        /// bit-identical at any value — the schedule fixes the
-        /// arithmetic, threads only change who executes it.
-        int factor_threads = 1;
     };
 
     explicit SystemCache(const MnaAssembler& assembler)
@@ -150,17 +142,19 @@ public:
         linalg::Vector x;
     };
 
-    /// Solve every lane's system in one call.  On the sparse flat path
-    /// the numeric refactors of all lanes run through one
-    /// SparseLu::refactor_lanes dispatch (lane-parallel on the factor
-    /// pool), lanes with bit-identical value planes share one factor
-    /// through the blocked multi-RHS substitution, and counters/flops
-    /// are billed exactly as K serial solve() calls would bill them.
-    /// Any lane the batch path cannot serve (dense path, no live
-    /// factorisation yet, legacy storage, or a degraded pivot in any
-    /// lane) is replayed through the serial solve() in lane order, so
-    /// results and Stats stay bit-identical to the serial driver.
-    void solve_batch(std::span<SolveLane> lanes);
+    /// Solve every lane's system in one call.  On the sparse path the
+    /// numeric refactors of all lanes run through one
+    /// SparseLu::refactor_lanes dispatch (one task per lane on `pool`,
+    /// non-owning; nullptr = the calling thread), lanes with
+    /// bit-identical value planes share one factor through the blocked
+    /// multi-RHS substitution, and counters/flops are billed exactly as
+    /// K serial solve() calls would bill them.  Any lane the batch path
+    /// cannot serve (dense path, no live factorisation yet, or a
+    /// degraded pivot in any lane) is replayed through the serial
+    /// solve() in lane order, so results and Stats stay bit-identical to
+    /// the serial driver.
+    void solve_batch(std::span<SolveLane> lanes,
+                     runtime::ThreadPool* pool = nullptr);
 
     /// One lane of a batched cross-trial chord evaluation.
     struct EvalLane {
@@ -178,15 +172,11 @@ public:
     void eval_chords_batch(std::span<const EvalLane> lanes);
 
     // ---- engine-facing fast paths ------------------------------------
-    // Each method routes through the compiled StampProgram when one
-    // exists and falls back to the legacy virtual stamping path
-    // otherwise, so engines contain a single code path.  The restamp_*
-    // calls are only valid between begin() and solve().
-
-    /// True when per-step work runs through a compiled StampProgram.
-    [[nodiscard]] bool has_program() const noexcept {
-        return program_ != nullptr;
-    }
+    // Each method routes through the compiled StampProgram, which the
+    // cache builds at every pattern freeze/rebind.  The rhs and gdiag
+    // plans fall back to the assembler's virtual stamps when the program
+    // declines a circuit (rhs_fast()/gdiag_fast()).  The restamp_* calls
+    // are only valid between begin() and solve().
 
     /// Chord conductances (and rates when `with_rate`) of every
     /// nonlinear device at state x, parallel to nonlinear_devices().
@@ -215,9 +205,9 @@ public:
     void restamp_nr(std::span<const double> x);
 
     /// True when restamp_nortons covers every nonlinear device (PWL
-    /// fast path; requires a program).
+    /// fast path).
     [[nodiscard]] bool norton_fast() const noexcept {
-        return program_ != nullptr && program_->norton_fast();
+        return program_->norton_fast();
     }
 
     /// Restamp per-device Norton pairs (PWL): conductance g[k] across
@@ -236,10 +226,9 @@ public:
     void swec_gdiag(double t, std::span<const double> geq,
                     std::span<double> gdiag);
 
-    /// Device half of the eq. (12) step bound at state x.  With a
-    /// program, the chord-rate device classes reuse the step's already-
-    /// evaluated geq/geq_rate (no model re-evaluation); the legacy
-    /// fallback is the historical virtual Device::step_limit sweep.
+    /// Device half of the eq. (12) step bound at state x.  The
+    /// chord-rate device classes reuse the step's already-evaluated
+    /// geq/geq_rate (no model re-evaluation).
     [[nodiscard]] double device_step_bound(std::span<const double> x,
                                            std::span<const double> dvdt,
                                            std::span<const double> geq,
@@ -250,12 +239,11 @@ public:
     /// are built once per (device class, params, grid) through the
     /// cache's TableStore and shared across every later analysis that
     /// re-enables the same config (Monte-Carlo trials, sweep points).
-    /// Ignored on caches without a program (the legacy baseline).
     void configure_tables(const TableConfig& cfg);
 
     /// Devices currently evaluating through a table.
     [[nodiscard]] std::size_t tabulated_devices() const noexcept {
-        return program_ != nullptr ? program_->tabulated_devices() : 0;
+        return program_->tabulated_devices();
     }
 
     struct Stats {
@@ -295,10 +283,6 @@ public:
         /// substitution instead of refactoring (identical value planes —
         /// linear circuits / RHS-only noise perturbations).
         std::size_t shared_factor_solves = 0;
-        // ---- parallel-refactor shape (sparse flat path; 0 on dense) ----
-        std::size_t factor_threads = 1;   ///< workers the factor path uses
-        std::size_t factor_supernodes = 0;///< supernodes in the schedule
-        std::size_t factor_levels = 0;    ///< levels in the schedule
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -336,15 +320,6 @@ public:
         return n_ <= options_.dense_threshold;
     }
 
-    /// Re-target the parallel factor path at `threads` workers (1 =
-    /// serial, releasing any pool).  Safe between steps; the attached
-    /// SparseLu keeps its symbolic analysis and factors bit-identically
-    /// under the new thread count.
-    void set_factor_threads(int threads);
-    [[nodiscard]] int factor_threads() const noexcept {
-        return options_.factor_threads;
-    }
-
 private:
     class ScatterStamper;
 
@@ -358,7 +333,7 @@ private:
     void refresh_baselines();
 
     /// (Re)compile the StampProgram against the current assembler and
-    /// frozen pattern (no-op on the legacy baseline).  Any bound tables
+    /// frozen pattern.  Any bound tables
     /// are dropped; the next configure_tables() re-attaches them from
     /// the store.
     void rebuild_program();
@@ -398,7 +373,7 @@ private:
     /// Node-diagonal slots (always structural), for add_node_diag.
     std::vector<std::size_t> diag_slots_;
 
-    /// Compiled per-step execution plan (null on the legacy baseline).
+    /// Compiled per-step execution plan (rebuilt with the pattern).
     std::unique_ptr<StampProgram> program_;
     /// Shared chord tables + the config they were last bound under.
     TableStore table_store_;
@@ -409,9 +384,6 @@ private:
 
     std::unique_ptr<ScatterStamper> stamper_;
     linalg::Permutation ordering_; // empty = natural
-    /// Owned worker pool for the parallel refactor (null when
-    /// factor_threads <= 1); attached to lu_ via set_refactor_pool.
-    std::unique_ptr<runtime::ThreadPool> factor_pool_;
     std::unique_ptr<linalg::SparseLu> lu_;
     linalg::DenseMatrix dense_; // dense-path work matrix
     Stats stats_;

@@ -83,10 +83,7 @@ std::string RunReport::to_json() const {
     append_number(os, factor_s);
     os << ",\"solve_s\":";
     append_number(os, solve_s);
-    os << ",\"factor_threads\":" << factor_threads
-       << ",\"factor_supernodes\":" << factor_supernodes
-       << ",\"factor_levels\":" << factor_levels
-       << ",\"cache_signature\":" << cache_signature
+    os << ",\"cache_signature\":" << cache_signature
        << ",\"pool_tasks\":" << pool_tasks << ",\"pool_queue_wait_s\":";
     append_number(os, pool_queue_wait_s);
     os << '}';
@@ -182,11 +179,6 @@ std::string RunReport::pretty() const {
     }
     if (tables_built > 0) {
         count_line(os, "chord tables built", tables_built);
-    }
-    if (factor_supernodes > 0) {
-        count_line(os, "factor threads", factor_threads);
-        count_line(os, "factor supernodes", factor_supernodes);
-        count_line(os, "factor levels", factor_levels);
     }
     os << "  " << std::left << std::setw(22) << "cache signature"
        << std::right << std::hex << std::showbase << cache_signature

@@ -115,18 +115,13 @@ struct RunReport {
 
     // ---- wall-time attribution [s] ------------------------------------
     // factor_s is the CALLER's wall-clock over the factor section — the
-    // parallel refactor's per-worker durations live in trace spans only
+    // lane-parallel refactor's per-lane durations live in trace spans only
     // (summing them would report factor_s > elapsed_s on multi-core).
     double analyze_s = 0.0; ///< symbolic analysis + ordering + compile
     double eval_s = 0.0;    ///< device-model evaluation
     double stamp_s = 0.0;   ///< matrix restamps
     double factor_s = 0.0;  ///< LU factor / refactor (wall clock)
     double solve_s = 0.0;   ///< triangular solves
-
-    // ---- parallel factor path ------------------------------------------
-    std::uint64_t factor_threads = 1;    ///< workers on the factor path
-    std::uint64_t factor_supernodes = 0; ///< supernodes in the schedule
-    std::uint64_t factor_levels = 0;     ///< elimination-tree levels
 
     // ---- infrastructure -----------------------------------------------
     std::uint64_t cache_signature = 0;  ///< stamp-pattern signature

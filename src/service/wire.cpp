@@ -571,23 +571,6 @@ engines::SolverOrderingStats ordering_from_json(const Value& v) {
     return o;
 }
 
-Value factor_to_json(const engines::SolverFactorStats& f) {
-    Value obj{Object{}};
-    obj.set("threads", Value(static_cast<double>(f.threads)));
-    obj.set("supernodes", Value(static_cast<double>(f.supernodes)));
-    obj.set("levels", Value(static_cast<double>(f.levels)));
-    return obj;
-}
-
-engines::SolverFactorStats factor_from_json(const Value& v) {
-    check_keys(v, {"threads", "supernodes", "levels"}, "factor stats");
-    engines::SolverFactorStats f;
-    f.threads = static_cast<std::size_t>(v.at("threads").as_uint());
-    f.supernodes = static_cast<std::size_t>(v.at("supernodes").as_uint());
-    f.levels = static_cast<std::size_t>(v.at("levels").as_uint());
-    return f;
-}
-
 Value bounds_to_json(const obs::StepBoundCounts& b) {
     Value obj{Object{}};
     obj.set("device", u64_value(b.device));
@@ -805,7 +788,6 @@ Value dc_result_to_json(const engines::DcResult& r) {
     obj.set("solver_dense_solves",
             Value(static_cast<double>(r.solver_dense_solves)));
     obj.set("solver_ordering", ordering_to_json(r.solver_ordering));
-    obj.set("solver_factor", factor_to_json(r.solver_factor));
     Array trace;
     trace.reserve(r.trace.size());
     for (const auto& x : r.trace) trace.push_back(vector_to_json(x));
@@ -818,7 +800,7 @@ engines::DcResult dc_result_from_json(const Value& v) {
                {"x", "converged", "aborted", "oscillation_detected",
                 "iterations", "residual", "flops", "solver_full_factors",
                 "solver_fast_refactors", "solver_dense_solves",
-                "solver_ordering", "solver_factor", "trace"},
+                "solver_ordering", "trace"},
                "dc result");
     engines::DcResult r;
     r.x = vector_from_json(v.at("x"));
@@ -835,7 +817,6 @@ engines::DcResult dc_result_from_json(const Value& v) {
     r.solver_dense_solves =
         static_cast<std::size_t>(v.at("solver_dense_solves").as_uint());
     r.solver_ordering = ordering_from_json(v.at("solver_ordering"));
-    r.solver_factor = factor_from_json(v.at("solver_factor"));
     for (const Value& e : v.at("trace").as_array())
         r.trace.push_back(vector_from_json(e));
     return r;
@@ -894,7 +875,6 @@ Value tran_result_to_json(const engines::TranResult& r) {
     obj.set("solver_dense_solves",
             Value(static_cast<double>(r.solver_dense_solves)));
     obj.set("solver_ordering", ordering_to_json(r.solver_ordering));
-    obj.set("solver_factor", factor_to_json(r.solver_factor));
     return obj;
 }
 
@@ -905,7 +885,7 @@ engines::TranResult tran_result_from_json(const Value& v) {
                 "max_dt_used", "max_local_error", "avg_local_error",
                 "step_bounds", "rescues", "flops", "solver_full_factors",
                 "solver_fast_refactors", "solver_dense_solves",
-                "solver_ordering", "solver_factor"},
+                "solver_ordering"},
                "transient result");
     engines::TranResult r;
     r.node_waves = waves_from_json(v.at("node_waves"));
@@ -928,7 +908,6 @@ engines::TranResult tran_result_from_json(const Value& v) {
     r.solver_dense_solves =
         static_cast<std::size_t>(v.at("solver_dense_solves").as_uint());
     r.solver_ordering = ordering_from_json(v.at("solver_ordering"));
-    r.solver_factor = factor_from_json(v.at("solver_factor"));
     return r;
 }
 
@@ -1035,10 +1014,6 @@ Value solver_work_to_json(const SolverWork& w) {
     obj.set("factor_s", Value(w.factor_s));
     obj.set("solve_s", Value(w.solve_s));
     obj.set("tables_built", Value(static_cast<double>(w.tables_built)));
-    obj.set("factor_threads", Value(static_cast<double>(w.factor_threads)));
-    obj.set("factor_supernodes",
-            Value(static_cast<double>(w.factor_supernodes)));
-    obj.set("factor_levels", Value(static_cast<double>(w.factor_levels)));
     obj.set("mc_batch_width", Value(static_cast<double>(w.mc_batch_width)));
     obj.set("batched_solves", Value(static_cast<double>(w.batched_solves)));
     obj.set("shared_factor_solves",
@@ -1051,7 +1026,6 @@ SolverWork solver_work_from_json(const Value& v) {
                {"full_factors", "fast_refactors", "dense_solves",
                 "pivot_fallbacks", "pattern_rebuilds", "analyze_s",
                 "eval_s", "stamp_s", "factor_s", "solve_s", "tables_built",
-                "factor_threads", "factor_supernodes", "factor_levels",
                 "mc_batch_width", "batched_solves", "shared_factor_solves"},
                "solver work");
     SolverWork w;
@@ -1072,12 +1046,6 @@ SolverWork solver_work_from_json(const Value& v) {
     w.solve_s = v.at("solve_s").as_number();
     w.tables_built =
         static_cast<std::size_t>(v.at("tables_built").as_uint());
-    w.factor_threads =
-        static_cast<std::size_t>(v.at("factor_threads").as_uint());
-    w.factor_supernodes =
-        static_cast<std::size_t>(v.at("factor_supernodes").as_uint());
-    w.factor_levels =
-        static_cast<std::size_t>(v.at("factor_levels").as_uint());
     w.mc_batch_width =
         static_cast<std::size_t>(v.at("mc_batch_width").as_uint());
     w.batched_solves =
@@ -1162,10 +1130,6 @@ obs::RunReport report_from_json(const Value& v, const AnalysisHeader& header) {
     r.stamp_s = v.at("stamp_s").as_number();
     r.factor_s = v.at("factor_s").as_number();
     r.solve_s = v.at("solve_s").as_number();
-    r.factor_threads = u64_from(v.at("factor_threads"), "factor_threads");
-    r.factor_supernodes =
-        u64_from(v.at("factor_supernodes"), "factor_supernodes");
-    r.factor_levels = u64_from(v.at("factor_levels"), "factor_levels");
     r.cache_signature = header.cache_signature;
     r.pool_tasks = u64_from(v.at("pool_tasks"), "pool_tasks");
     r.pool_queue_wait_s = v.at("pool_queue_wait_s").as_number();

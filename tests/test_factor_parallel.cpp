@@ -1,27 +1,30 @@
-// Parallel level-scheduled refactorisation suite.
+// Numeric refactorisation suite: the one refactor sweep behind
+// SparseLu::refactor() and SparseLu::refactor_lanes().
 //
-// The contract under test (PR: parallel numeric refactor):
+// The contracts under test:
 //
-//  * refactor() on a worker pool produces BIT-IDENTICAL L/U factors and
-//    solutions to the serial sweep at any thread count — the level
-//    schedule fixes the arithmetic, threads only change who executes it
-//    (memcmp, not a tolerance);
+//  * refactor(v) produces L/U factors and solutions BIT-IDENTICAL to a
+//    fresh factorisation of v while the recorded pivots hold (memcmp,
+//    not a tolerance), and is a fixed point on repeated values;
 //  * a degraded pivot falls back deterministically: the same verdict,
-//    the same full_factor/fast_refactor counters and the same factors no
-//    matter how the level's chunks interleaved;
+//    the same full_factor/fast_refactor counters and the factors of a
+//    fresh factorisation of the degraded values;
 //  * a FAILED fast-refactor attempt bills zero flops — the fallback full
 //    factorisation accounts for the step exactly once (the historical
 //    double-count regression);
-//  * the circuit-level path (SystemCache / SimSession with
-//    factor_threads) inherits all of the above, including the
-//    pivot_fallbacks counter algebra: one fallback = full_factors + 1
-//    and pivot_fallbacks + 1, never fast_refactors.
+//  * refactor_lanes() on 1 or 4 workers reproduces serial refactor() of
+//    each lane's plane bit for bit, billing the same flops;
+//  * the circuit-level path (SystemCache / SimSession) inherits all of
+//    the above, including the pivot_fallbacks counter algebra: one
+//    fallback = full_factors + 1 and pivot_fallbacks + 1, never
+//    fast_refactors.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/ref_circuits.hpp"
@@ -90,37 +93,11 @@ Triplets perturb(const Triplets& a, std::uint32_t seed) {
     return out;
 }
 
-/// Random diagonally dominant sparse system (same construction as the
-/// solver-equivalence suite, sized for the parallel path).
-Triplets random_system(std::mt19937& gen, std::size_t n, double density) {
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-    Triplets a(n, n);
-    std::vector<double> row_sum(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            if (i == j || coin(gen) >= density) {
-                continue;
-            }
-            const double v = dist(gen);
-            a.add(i, j, v);
-            row_sum[i] += std::abs(v);
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        a.add(i, i, row_sum[i] + 1.0);
-    }
-    return a;
-}
-
-/// Caller-order CSC pattern of a mesh plus the fill-reducing ordering the
-/// parallel schedule feeds on.  Natural order gives a 2-D grid a
-/// chain-shaped elimination tree (every level holds one supernode and the
-/// schedule degenerates to the inline sweep); min-degree gives the bushy
-/// tree whose wide levels actually dispatch pool tasks — the same
-/// ordering family SystemCache auto-selects for mesh circuits.  A
-/// permuted SparseLu only refactors through the cached-pattern span
-/// overload (values in caller slot order), hence slots().
+/// Caller-order CSC pattern of a mesh plus a fill-reducing ordering —
+/// the same ordering family SystemCache auto-selects for mesh circuits,
+/// so the permuted gather path is exercised.  A permuted SparseLu only
+/// refactors through the cached-pattern span overload (values in caller
+/// slot order), hence slots().
 struct OrderedMesh {
     std::vector<std::size_t> col_ptr;
     std::vector<std::size_t> row_idx;
@@ -179,105 +156,53 @@ Triplets degrade_pivot(const Triplets& a, std::size_t k, std::size_t grid) {
     return out;
 }
 
-// ---- SparseLu level: bit identity -----------------------------------------
+/// L/U planes and solution of one factorisation, for bitwise comparison.
+struct Factors {
+    std::vector<double> l, u;
+    Vector x;
+};
 
-TEST(FactorParallel, GridBitIdenticalAcrossThreadCounts) {
-    const std::size_t k = 10; // n = 100 >= k_parallel_min_cols
+Factors snapshot(const SparseLu& lu, const Vector& b) {
+    return {{lu.l_values().begin(), lu.l_values().end()},
+            {lu.u_values().begin(), lu.u_values().end()},
+            lu.solve(b)};
+}
+
+void expect_same_factors(const Factors& a, const Factors& b) {
+    EXPECT_TRUE(bit_identical(std::span<const double>(a.l),
+                              std::span<const double>(b.l)))
+        << "L diverged";
+    EXPECT_TRUE(bit_identical(std::span<const double>(a.u),
+                              std::span<const double>(b.u)))
+        << "U diverged";
+    EXPECT_TRUE(bit_identical(a.x, b.x)) << "x diverged";
+}
+
+// ---- SparseLu level: refactor == fresh factorisation ----------------------
+
+TEST(FactorRefactor, GridRefactorMatchesFreshFactorisation) {
+    const std::size_t k = 10;
     const Triplets a = laplacian2d(k);
-    const std::size_t n = k * k;
-    ASSERT_GE(n, SparseLu::k_parallel_min_cols);
     const OrderedMesh mesh = analyse_mesh(a);
-    const Vector b = make_rhs(n, 42);
+    const Vector b = make_rhs(k * k, 42);
 
-    // Three refactor rounds with perturbed values through the serial
-    // sweep establish the reference factors and solutions.
-    std::vector<std::vector<double>> rounds;
+    SparseLu lu(a, mesh.perm);
     for (std::uint32_t r = 0; r < 3; ++r) {
-        rounds.push_back(mesh.slots(perturb(a, 100 + r)));
+        const Triplets round = perturb(a, 100 + r);
+        const std::vector<double> values = mesh.slots(round);
+        ASSERT_TRUE(lu.refactor(std::span<const double>(values)));
+        const SparseLu fresh(round, mesh.perm);
+        expect_same_factors(snapshot(lu, b), snapshot(fresh, b));
     }
-
-    SparseLu serial(a, mesh.perm);
-    std::vector<std::vector<double>> ref_l, ref_u;
-    std::vector<Vector> ref_x;
-    for (const std::vector<double>& values : rounds) {
-        ASSERT_TRUE(serial.refactor(std::span<const double>(values)));
-        ref_l.emplace_back(serial.l_values().begin(), serial.l_values().end());
-        ref_u.emplace_back(serial.u_values().begin(), serial.u_values().end());
-        ref_x.push_back(serial.solve(b));
-    }
-    ASSERT_EQ(serial.full_factor_count(), 1u);
-    ASSERT_EQ(serial.fast_refactor_count(), 3u);
-
-    for (const int threads : {2, 4, 8}) {
-        runtime::ThreadPool pool(threads);
-        SparseLu par(a, mesh.perm);
-        par.set_refactor_pool(&pool);
-        EXPECT_GT(par.supernode_count(), 0u);
-        EXPECT_GT(par.level_count(), 0u);
-        // Under the fill-reducing ordering the elimination tree is bushy:
-        // strictly fewer levels than supernodes, so wide levels really do
-        // dispatch chunks to the pool (natural order would degenerate to
-        // a chain and the whole test would silently run inline).
-        EXPECT_LT(par.level_count(), par.supernode_count());
-        EXPECT_GE(par.supernode_count(), n / SparseLu::k_supernode_max_cols);
-
-        for (std::size_t r = 0; r < rounds.size(); ++r) {
-            ASSERT_TRUE(par.refactor(std::span<const double>(rounds[r])))
-                << threads << " threads";
-            EXPECT_TRUE(bit_identical(par.l_values(),
-                                      std::span<const double>(ref_l[r])))
-                << threads << " threads, round " << r << ": L diverged";
-            EXPECT_TRUE(bit_identical(par.u_values(),
-                                      std::span<const double>(ref_u[r])))
-                << threads << " threads, round " << r << ": U diverged";
-            EXPECT_TRUE(bit_identical(par.solve(b), ref_x[r]))
-                << threads << " threads, round " << r << ": x diverged";
-        }
-        EXPECT_EQ(par.full_factor_count(), serial.full_factor_count());
-        EXPECT_EQ(par.fast_refactor_count(), serial.fast_refactor_count());
-    }
+    EXPECT_EQ(lu.full_factor_count(), 1u);
+    EXPECT_EQ(lu.fast_refactor_count(), 3u);
 }
 
-TEST(FactorParallel, RandomSystemsBitIdenticalToSerial) {
-    std::mt19937 gen(20260809);
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-    runtime::ThreadPool pool(4);
-    for (int trial = 0; trial < 8; ++trial) {
-        const std::size_t n = 64 + gen() % 64;
-        const Triplets a = random_system(gen, n, 0.03 + 0.15 * coin(gen));
-        const Triplets a2 = perturb(a, 7000 + static_cast<std::uint32_t>(trial));
-        const Vector b = make_rhs(n, 9000 + static_cast<std::uint32_t>(trial));
-
-        SparseLu serial(a);
-        ASSERT_TRUE(serial.refactor(a2)) << "trial " << trial;
-        const Vector x_serial = serial.solve(b);
-
-        SparseLu par(a);
-        par.set_refactor_pool(&pool);
-        ASSERT_TRUE(par.refactor(a2)) << "trial " << trial;
-        EXPECT_TRUE(bit_identical(par.l_values(), serial.l_values()))
-            << "trial " << trial << " (n=" << n << ")";
-        EXPECT_TRUE(bit_identical(par.u_values(), serial.u_values()))
-            << "trial " << trial << " (n=" << n << ")";
-        ASSERT_TRUE(bit_identical(par.solve(b), x_serial))
-            << "trial " << trial << " (n=" << n << ")";
-
-        // Cross-check against the dense solver.
-        const Vector x_dense = linalg::lu_solve(a2.to_dense(), b);
-        EXPECT_LT(linalg::max_abs_diff(x_serial, x_dense),
-                  1e-8 * std::max(1.0, linalg::norm_inf(x_dense)))
-            << "trial " << trial;
-    }
-}
-
-TEST(FactorParallel, RefactorIsBitStableAcrossRepeatsOnPool) {
-    // Refactoring the same values twice on the pool must be a fixed
-    // point, exactly like the serial contract.
+TEST(FactorRefactor, RefactorIsBitStableAcrossRepeats) {
+    // Refactoring the same values again must be a fixed point.
     const Triplets a = laplacian2d(9); // n = 81
     const Vector b = make_rhs(81, 3);
-    runtime::ThreadPool pool(4);
     SparseLu lu(a);
-    lu.set_refactor_pool(&pool);
     const Vector x0 = lu.solve(b);
     for (int r = 0; r < 5; ++r) {
         ASSERT_TRUE(lu.refactor(a));
@@ -289,7 +214,7 @@ TEST(FactorParallel, RefactorIsBitStableAcrossRepeatsOnPool) {
 
 // ---- SparseLu level: deterministic fallback --------------------------------
 
-TEST(FactorParallel, FallbackDeterministicAcrossThreadCounts) {
+TEST(FactorRefactor, FallbackMatchesFreshFactorisation) {
     const std::size_t k = 10;
     const std::size_t n = k * k;
     const Triplets a = laplacian2d(k);
@@ -298,54 +223,37 @@ TEST(FactorParallel, FallbackDeterministicAcrossThreadCounts) {
     const std::vector<double> degraded_slots = mesh.slots(degraded);
     const Vector b = make_rhs(n, 17);
 
-    // Serial reference: the degraded pivot forces the fallback.
-    SparseLu serial(a, mesh.perm);
-    ASSERT_FALSE(serial.refactor(std::span<const double>(degraded_slots)));
-    ASSERT_EQ(serial.full_factor_count(), 2u);
-    ASSERT_EQ(serial.fast_refactor_count(), 0u);
-    const std::vector<double> ref_l(serial.l_values().begin(),
-                                    serial.l_values().end());
-    const std::vector<double> ref_u(serial.u_values().begin(),
-                                    serial.u_values().end());
-    const Vector x_ref = serial.solve(b);
+    // The degraded pivot forces the fallback, which re-pivots exactly as
+    // a fresh factorisation of the degraded values does.
+    SparseLu lu(a, mesh.perm);
+    ASSERT_FALSE(lu.refactor(std::span<const double>(degraded_slots)));
+    EXPECT_EQ(lu.full_factor_count(), 2u);
+    EXPECT_EQ(lu.fast_refactor_count(), 0u);
+    const SparseLu fresh(degraded, mesh.perm);
+    const Factors ref = snapshot(fresh, b);
+    expect_same_factors(snapshot(lu, b), ref);
 
     // The re-pivoted factorisation must still be correct.
     const Vector x_dense = linalg::lu_solve(degraded.to_dense(), b);
-    EXPECT_LT(linalg::max_abs_diff(x_ref, x_dense),
+    EXPECT_LT(linalg::max_abs_diff(ref.x, x_dense),
               1e-8 * std::max(1.0, linalg::norm_inf(x_dense)));
 
-    for (const int threads : {2, 4, 8}) {
-        runtime::ThreadPool pool(threads);
-        SparseLu par(a, mesh.perm);
-        par.set_refactor_pool(&pool);
-        EXPECT_FALSE(par.refactor(std::span<const double>(degraded_slots)))
-            << threads << " threads: fallback verdict must not depend on "
-               "thread count";
-        EXPECT_EQ(par.full_factor_count(), 2u) << threads << " threads";
-        EXPECT_EQ(par.fast_refactor_count(), 0u) << threads << " threads";
-        EXPECT_TRUE(bit_identical(par.l_values(),
-                                  std::span<const double>(ref_l)))
-            << threads << " threads";
-        EXPECT_TRUE(bit_identical(par.u_values(),
-                                  std::span<const double>(ref_u)))
-            << threads << " threads";
-        EXPECT_TRUE(bit_identical(par.solve(b), x_ref)) << threads
-                                                        << " threads";
+    // Same values again: the re-pivoted factorisation is now cached.
+    ASSERT_TRUE(lu.refactor(std::span<const double>(degraded_slots)));
+    expect_same_factors(snapshot(lu, b), ref);
 
-        // The fallback rebuilt the schedule; the pool keeps working on
-        // the new pivot sequence.
-        EXPECT_GT(par.supernode_count(), 0u);
-        // Same values again: the re-pivoted factorisation is now cached.
-        ASSERT_TRUE(par.refactor(std::span<const double>(degraded_slots)));
-        EXPECT_TRUE(bit_identical(par.solve(b), x_ref));
-    }
+    // A second factoriser walks the same path to the same verdict.
+    SparseLu again(a, mesh.perm);
+    EXPECT_FALSE(again.refactor(std::span<const double>(degraded_slots)));
+    EXPECT_EQ(again.full_factor_count(), 2u);
+    expect_same_factors(snapshot(again, b), ref);
 }
 
-TEST(FactorParallel, FailedAttemptBillsNoFlops) {
+TEST(FactorRefactor, FailedAttemptBillsNoFlops) {
     // Counter-algebra regression (historical double-count): a failed fast
     // refactor must bill ZERO flops — the total billed by the whole
     // refactor() call equals a from-scratch full factorisation of the
-    // same values, at every thread count.
+    // same values.
     const std::size_t k = 10;
     const Triplets a = laplacian2d(k);
     const Triplets degraded = degrade_pivot(a, 57, k);
@@ -362,39 +270,90 @@ TEST(FactorParallel, FailedAttemptBillsNoFlops) {
         full_factor_flops = scope.counter().lu_factor;
     }
     ASSERT_GT(full_factor_flops, 0u);
-
-    for (const int threads : {1, 2, 4}) {
-        runtime::ThreadPool pool(std::max(threads, 1));
+    {
         SparseLu lu(a, mesh.perm);
-        if (threads > 1) {
-            lu.set_refactor_pool(&pool);
-        }
         FlopScope scope;
         ASSERT_FALSE(lu.refactor(std::span<const double>(degraded_slots)));
         EXPECT_EQ(scope.counter().lu_factor, full_factor_flops)
-            << threads << " threads: a failed attempt must bill nothing "
-               "beyond the fallback full factorisation";
+            << "a failed attempt must bill nothing beyond the fallback "
+               "full factorisation";
     }
 
-    // Sanity: a SUCCESSFUL fast refactor does bill factor work, and the
-    // billed total is thread-count independent.
-    std::uint64_t serial_refactor_flops = 0;
-    {
-        SparseLu lu(a, mesh.perm);
-        FlopScope scope;
-        ASSERT_TRUE(lu.refactor(std::span<const double>(a_slots)));
-        serial_refactor_flops = scope.counter().lu_factor;
+    // Sanity: a SUCCESSFUL fast refactor does bill factor work.
+    SparseLu lu(a, mesh.perm);
+    FlopScope scope;
+    ASSERT_TRUE(lu.refactor(std::span<const double>(a_slots)));
+    EXPECT_GT(scope.counter().lu_factor, 0u);
+}
+
+// ---- SparseLu level: lane refactors ----------------------------------------
+
+TEST(FactorRefactor, LanesMatchSerialRefactorAtOneAndFourWorkers) {
+    const std::size_t k = 10; // n = 100 >= k_parallel_min_cols
+    const Triplets a = laplacian2d(k);
+    ASSERT_GE(k * k, SparseLu::k_parallel_min_cols);
+    const OrderedMesh mesh = analyse_mesh(a);
+    const Vector b = make_rhs(k * k, 5);
+
+    constexpr std::size_t lanes = 6;
+    std::vector<std::vector<double>> planes;
+    for (std::uint32_t i = 0; i < lanes; ++i) {
+        planes.push_back(mesh.slots(perturb(a, 300 + i)));
     }
-    EXPECT_GT(serial_refactor_flops, 0u);
+    std::vector<std::span<const double>> spans(planes.begin(), planes.end());
+
+    // Serial reference: one refactor() per plane, flops billed per call.
+    std::vector<Factors> ref;
+    std::uint64_t serial_flops = 0;
     {
-        runtime::ThreadPool pool(4);
-        SparseLu lu(a, mesh.perm);
-        lu.set_refactor_pool(&pool);
+        SparseLu serial(a, mesh.perm);
         FlopScope scope;
-        ASSERT_TRUE(lu.refactor(std::span<const double>(a_slots)));
-        EXPECT_EQ(scope.counter().lu_factor, serial_refactor_flops)
-            << "billed refactor flops must not depend on the thread count";
+        for (const std::vector<double>& values : planes) {
+            ASSERT_TRUE(serial.refactor(std::span<const double>(values)));
+            ref.push_back(snapshot(serial, b));
+        }
+        serial_flops = scope.counter().lu_factor;
     }
+
+    for (const int workers : {1, 4}) {
+        runtime::ThreadPool pool(workers);
+        SparseLu lu(a, mesh.perm);
+        std::vector<SparseLu::LaneFactor> factors(lanes);
+        std::vector<std::uint64_t> lane_flops(lanes, 0);
+        FlopScope scope;
+        ASSERT_TRUE(lu.refactor_lanes(spans, factors, lane_flops,
+                                      workers > 1 ? &pool : nullptr));
+        EXPECT_EQ(scope.counter().lu_factor, serial_flops)
+            << workers << " workers";
+        EXPECT_EQ(lu.fast_refactor_count(), lanes);
+        for (std::size_t i = 0; i < lanes; ++i) {
+            const Factors got{factors[i].l_val, factors[i].u_val,
+                              lu.solve_lane(factors[i], b)};
+            SCOPED_TRACE("lane " + std::to_string(i) + ", " +
+                         std::to_string(workers) + " workers");
+            expect_same_factors(got, ref[i]);
+        }
+    }
+}
+
+TEST(FactorRefactor, DegradedLaneFailsTheBatchBillingNothing) {
+    const std::size_t k = 10;
+    const Triplets a = laplacian2d(k);
+    const OrderedMesh mesh = analyse_mesh(a);
+    std::vector<std::vector<double>> planes = {
+        mesh.slots(perturb(a, 1)), mesh.slots(degrade_pivot(a, 57, k)),
+        mesh.slots(perturb(a, 2))};
+    std::vector<std::span<const double>> spans(planes.begin(), planes.end());
+
+    runtime::ThreadPool pool(4);
+    SparseLu lu(a, mesh.perm);
+    std::vector<SparseLu::LaneFactor> factors(planes.size());
+    std::vector<std::uint64_t> lane_flops(planes.size(), 0);
+    FlopScope scope;
+    EXPECT_FALSE(lu.refactor_lanes(spans, factors, lane_flops, &pool));
+    EXPECT_EQ(scope.counter().lu_factor, 0u);
+    EXPECT_EQ(lu.fast_refactor_count(), 0u);
+    EXPECT_EQ(lu.full_factor_count(), 1u);
 }
 
 // ---- SystemCache level: fallback counter algebra ---------------------------
@@ -408,10 +367,8 @@ struct CacheRun {
 };
 
 CacheRun run_cache_fallback(const mna::MnaAssembler& assembler,
-                            std::size_t r0, std::size_t r1, int threads) {
-    mna::SystemCache::Options opt;
-    opt.factor_threads = threads;
-    mna::SystemCache cache(assembler, opt);
+                            std::size_t r0, std::size_t r1) {
+    mna::SystemCache cache(assembler);
     const auto nl = assembler.nonlinear_devices().size();
     const std::vector<double> geq(nl, 1e-3);
 
@@ -437,46 +394,33 @@ CacheRun run_cache_fallback(const mna::MnaAssembler& assembler,
     return out;
 }
 
-TEST(FactorParallel, SystemCacheFallbackCountersIdenticalAcrossThreads) {
+TEST(FactorRefactor, SystemCacheFallbackCountersAndDeterminism) {
     const Circuit ckt = refckt::rc_mesh(12, 12);
     const mna::MnaAssembler assembler(ckt);
-    ASSERT_GE(assembler.unknowns(), 64); // sparse path + parallel window
+    ASSERT_GE(assembler.unknowns(), 64); // sparse path
     const auto r0 = static_cast<std::size_t>(ckt.find_node("n0_0") - 1);
     const auto r1 = static_cast<std::size_t>(ckt.find_node("n0_1") - 1);
 
-    const CacheRun serial = run_cache_fallback(assembler, r0, r1, 1);
+    const CacheRun run = run_cache_fallback(assembler, r0, r1);
     // Counter algebra: one fallback = full_factors + 1 and
     // pivot_fallbacks + 1; the fast counter never moves on a fallback.
-    EXPECT_EQ(serial.stats.full_factors, 2u);
-    EXPECT_EQ(serial.stats.pivot_fallbacks, 1u);
-    EXPECT_EQ(serial.stats.fast_refactors, 1u);
-    EXPECT_EQ(serial.stats.factor_threads, 1u);
+    EXPECT_EQ(run.stats.full_factors, 2u);
+    EXPECT_EQ(run.stats.pivot_fallbacks, 1u);
+    EXPECT_EQ(run.stats.fast_refactors, 1u);
 
     // The degraded system is wildly different from the healthy one —
     // make sure the fallback actually resolved it.
-    EXPECT_FALSE(bit_identical(serial.x_full, serial.x_degraded));
-    EXPECT_TRUE(bit_identical(serial.x_full, serial.x_fast));
+    EXPECT_FALSE(bit_identical(run.x_full, run.x_degraded));
+    EXPECT_TRUE(bit_identical(run.x_full, run.x_fast));
 
-    for (const int threads : {2, 4, 8}) {
-        const CacheRun par = run_cache_fallback(assembler, r0, r1, threads);
-        EXPECT_EQ(par.stats.full_factors, serial.stats.full_factors)
-            << threads << " threads";
-        EXPECT_EQ(par.stats.fast_refactors, serial.stats.fast_refactors)
-            << threads << " threads";
-        EXPECT_EQ(par.stats.pivot_fallbacks, serial.stats.pivot_fallbacks)
-            << threads << " threads";
-        EXPECT_EQ(par.stats.factor_threads,
-                  static_cast<std::size_t>(threads))
-            << threads << " threads";
-        EXPECT_GT(par.stats.factor_supernodes, 0u);
-        EXPECT_GT(par.stats.factor_levels, 0u);
-        EXPECT_TRUE(bit_identical(par.x_full, serial.x_full))
-            << threads << " threads";
-        EXPECT_TRUE(bit_identical(par.x_fast, serial.x_fast))
-            << threads << " threads";
-        EXPECT_TRUE(bit_identical(par.x_degraded, serial.x_degraded))
-            << threads << " threads";
-    }
+    // A second cache takes the same path to the same bits.
+    const CacheRun again = run_cache_fallback(assembler, r0, r1);
+    EXPECT_EQ(again.stats.full_factors, run.stats.full_factors);
+    EXPECT_EQ(again.stats.fast_refactors, run.stats.fast_refactors);
+    EXPECT_EQ(again.stats.pivot_fallbacks, run.stats.pivot_fallbacks);
+    EXPECT_TRUE(bit_identical(again.x_full, run.x_full));
+    EXPECT_TRUE(bit_identical(again.x_fast, run.x_fast));
+    EXPECT_TRUE(bit_identical(again.x_degraded, run.x_degraded));
 }
 
 // ---- SimSession level: circuit analyses ------------------------------------
@@ -500,79 +444,42 @@ bool waves_bit_identical(const engines::TranResult& a,
     return true;
 }
 
-TEST(FactorParallel, SessionTransientBitIdenticalAcrossFactorThreads) {
+TEST(FactorRefactor, SessionTransientBitIdenticalOnWarmCache) {
+    // A repeat run on the same session starts with a refactor of the
+    // cached symbolic analysis instead of a fresh factorisation — the
+    // results must not tell the two apart.
     TranSpec spec;
     spec.t_stop = 40e-9;
+    SimSession session(refckt::rc_mesh(12, 12));
+    const AnalysisResult cold = session.run(spec);
+    ASSERT_FALSE(cold.header.aborted);
+    EXPECT_GT(cold.header.solver.fast_refactors, 0u);
+    EXPECT_EQ(cold.header.solver.pivot_fallbacks, 0u);
 
-    auto run_at = [&](int threads) {
-        SimSession session(refckt::rc_mesh(12, 12));
-        session.set_factor_threads(threads);
-        return session.run(spec);
-    };
+    const AnalysisResult warm = session.run(spec);
+    ASSERT_FALSE(warm.header.aborted);
+    EXPECT_EQ(warm.header.solver.full_factors, 0u);
+    EXPECT_TRUE(waves_bit_identical(warm.tran(), cold.tran()))
+        << "warm-cache transient diverged from the cold run";
 
-    const AnalysisResult serial = run_at(1);
-    ASSERT_FALSE(serial.header.aborted);
-    EXPECT_GT(serial.header.solver.fast_refactors, 0u);
-    EXPECT_EQ(serial.header.solver.factor_threads, 1u);
-
-    for (const int threads : {2, 4, 8}) {
-        const AnalysisResult par = run_at(threads);
-        ASSERT_FALSE(par.header.aborted);
-        EXPECT_TRUE(waves_bit_identical(par.tran(), serial.tran()))
-            << threads << " threads: transient diverged from serial";
-        EXPECT_EQ(par.header.solver.full_factors,
-                  serial.header.solver.full_factors)
-            << threads << " threads";
-        EXPECT_EQ(par.header.solver.fast_refactors,
-                  serial.header.solver.fast_refactors)
-            << threads << " threads";
-        EXPECT_EQ(par.header.solver.pivot_fallbacks,
-                  serial.header.solver.pivot_fallbacks)
-            << threads << " threads";
-        EXPECT_EQ(par.header.solver.factor_threads,
-                  static_cast<std::size_t>(threads));
-        EXPECT_GT(par.header.solver.factor_supernodes, 0u);
-        EXPECT_GT(par.header.solver.factor_levels, 0u);
-        EXPECT_EQ(par.tran().solver_factor.threads,
-                  static_cast<std::size_t>(threads));
-    }
+    SimSession other(refckt::rc_mesh(12, 12));
+    const AnalysisResult fresh = other.run(spec);
+    EXPECT_TRUE(waves_bit_identical(fresh.tran(), cold.tran()));
+    EXPECT_EQ(fresh.header.solver.full_factors,
+              cold.header.solver.full_factors);
+    EXPECT_EQ(fresh.header.solver.fast_refactors,
+              cold.header.solver.fast_refactors);
 }
 
-TEST(FactorParallel, SessionPowerGridOpBitIdenticalAcrossFactorThreads) {
-    auto run_at = [&](int threads) {
-        SimSession session(refckt::power_grid(12, 12, 4));
-        session.set_factor_threads(threads);
-        return session.run(OpSpec{});
-    };
-    const AnalysisResult serial = run_at(1);
-    ASSERT_TRUE(serial.dc().converged);
-    for (const int threads : {2, 4}) {
-        const AnalysisResult par = run_at(threads);
-        ASSERT_TRUE(par.dc().converged);
-        EXPECT_TRUE(bit_identical(par.dc().x, serial.dc().x))
-            << threads << " threads";
-        EXPECT_EQ(par.dc().iterations, serial.dc().iterations);
-        EXPECT_EQ(par.header.solver.full_factors,
-                  serial.header.solver.full_factors);
-        EXPECT_EQ(par.header.solver.fast_refactors,
-                  serial.header.solver.fast_refactors);
-    }
-}
-
-TEST(FactorParallel, SessionDensePathIgnoresFactorThreads) {
-    // Small circuits ride the dense LU: --threads must be a no-op there,
-    // not an error (and certainly not a numeric change).
-    TranSpec spec;
-    spec.t_stop = 30e-9;
-    auto run_at = [&](int threads) {
-        SimSession session(refckt::fet_rtd_inverter());
-        session.set_factor_threads(threads);
-        return session.run(spec);
-    };
-    const AnalysisResult serial = run_at(1);
-    const AnalysisResult par = run_at(8);
-    EXPECT_TRUE(waves_bit_identical(par.tran(), serial.tran()));
-    EXPECT_GT(serial.header.solver.dense_solves, 0u);
+TEST(FactorRefactor, SessionPowerGridOpBitIdenticalOnWarmCache) {
+    SimSession session(refckt::power_grid(12, 12, 4));
+    const AnalysisResult cold = session.run(OpSpec{});
+    ASSERT_TRUE(cold.dc().converged);
+    const AnalysisResult warm = session.run(OpSpec{});
+    ASSERT_TRUE(warm.dc().converged);
+    EXPECT_TRUE(bit_identical(warm.dc().x, cold.dc().x));
+    EXPECT_EQ(warm.dc().iterations, cold.dc().iterations);
+    EXPECT_EQ(warm.header.solver.full_factors, 0u);
 }
 
 } // namespace

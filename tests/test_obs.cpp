@@ -19,6 +19,7 @@
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
+#include "devices/sources.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -593,30 +594,51 @@ TEST(ObsPool, StatsSnapshotTearFreeUnderHammer) {
     EXPECT_GE(final_stats.queue_wait_s, 0.0);
 }
 
-// ---- factor-time attribution under the parallel refactor ---------------
+// ---- factor-time attribution under the lane-parallel refactor ----------
+
+/// 12x12 RC mesh with an RTD at every node (per-trial value planes
+/// differ: no shared factors) and one noise source at the centre.
+SimSession noisy_rtd_mesh() {
+    refckt::MeshSpec mesh;
+    mesh.rows = 12;
+    mesh.cols = 12;
+    mesh.rtd_stride = 1;
+    Circuit ckt = refckt::rc_mesh(mesh);
+    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, ckt.find_node("n6_6"),
+                                1e-9);
+    return SimSession(std::move(ckt));
+}
+
+/// Short 8-trial MC on noisy_rtd_mesh() through the batched driver.
+MonteCarloSpec batched_mesh_mc() {
+    MonteCarloSpec spec;
+    spec.node = "n6_6";
+    spec.t_stop = 2e-9;
+    spec.noise_dt = 2.5e-10;
+    spec.runs = 8;
+    spec.grid_points = 11;
+    spec.batch = 4;
+    return spec;
+}
 
 TEST(ObsReport, FactorTimeIsCallerWallClockUnderParallelRefactor) {
     // Attribution contract: factor_s is the CALLER's wall clock over the
     // factor section — never the sum of per-worker durations, which
-    // would report factor_s > elapsed_s on multi-core.  The per-worker
-    // detail lives in "factor.level" trace spans instead.
+    // would report factor_s > elapsed_s on multi-core.  The per-lane
+    // detail of the batched MC driver's pool lives in "factor.lane"
+    // trace spans instead.
     const TelemetryOff off;
     obs::set_metrics_enabled(true);
     obs::start_trace();
 
-    SimSession session(refckt::rc_mesh(12, 12));
-    session.set_factor_threads(4);
-    TranSpec spec;
-    spec.t_stop = 40e-9;
-    spec.common.dt_init = 0.1e-9;
-    const AnalysisResult result = session.run(spec);
+    MonteCarloSpec spec = batched_mesh_mc();
+    spec.threads = 4;
+    const AnalysisResult result = noisy_rtd_mesh().run(spec);
     obs::stop_trace();
     obs::set_metrics_enabled(false);
 
     const obs::RunReport& rep = result.report;
-    EXPECT_EQ(rep.factor_threads, 4u);
-    EXPECT_GT(rep.factor_supernodes, 0u);
-    EXPECT_GT(rep.factor_levels, 0u);
+    EXPECT_GT(rep.batched_solves, 0u);
     EXPECT_GT(rep.fast_refactors, 0u);
     EXPECT_GT(rep.factor_s, 0.0);
     EXPECT_LE(rep.factor_s, rep.elapsed_s)
@@ -626,16 +648,35 @@ TEST(ObsReport, FactorTimeIsCallerWallClockUnderParallelRefactor) {
               rep.elapsed_s)
         << "time-split buckets are disjoint sections of one wall clock";
 
-    // The workers did record their per-level spans.
-    bool saw_level_span = false;
+    // The workers did record their per-lane spans.
+    bool saw_lane_span = false;
     for (const obs::TraceEvent& e : obs::trace_snapshot()) {
-        if (e.name == "factor.level") {
-            saw_level_span = true;
+        if (e.name == "factor.lane") {
+            saw_lane_span = true;
             break;
         }
     }
-    EXPECT_TRUE(saw_level_span)
-        << "parallel factor levels should appear as trace spans";
+    EXPECT_TRUE(saw_lane_span)
+        << "lane-parallel refactors should appear as trace spans";
+}
+
+TEST(ObsReport, BatchedLanesStaySerialByDefault) {
+    // MonteCarloSpec::threads defaults to 0; for the batched driver that
+    // must not start an all-cores lane pool (a service already runs jobs
+    // side by side).  Without a pool no "factor.lane" span is recorded.
+    const TelemetryOff off;
+    obs::start_trace();
+
+    const MonteCarloSpec spec = batched_mesh_mc();
+    ASSERT_EQ(spec.threads, 0);
+    const AnalysisResult result = noisy_rtd_mesh().run(spec);
+    obs::stop_trace();
+
+    EXPECT_GT(result.report.batched_solves, 0u);
+    EXPECT_GT(result.report.fast_refactors, 0u);
+    for (const obs::TraceEvent& e : obs::trace_snapshot()) {
+        EXPECT_NE(e.name, "factor.lane") << "default run started a lane pool";
+    }
 }
 
 // ---- NANOSIM_LOG ------------------------------------------------------
