@@ -1,12 +1,13 @@
-// Nano-Sim bench — serial vs parallel Monte-Carlo scaling.
+// Nano-Sim bench — Monte-Carlo worker scaling.
 //
 //   $ ./bench_parallel_scaling [runs] [out.json]
 //
 // Times the same fixed-seed Monte-Carlo ensemble on the noisy-RC test
-// bed through the parallel driver at 1, 2 and 4 worker threads (plus
-// the legacy single-stream serial driver as the baseline), verifies
-// that every thread count produced bit-identical ensemble statistics,
-// and records wall-clock times + speedups to BENCH_parallel.json.
+// bed through run_monte_carlo at 1, 2 and 4 workers (1 = the serial loop
+// through the caller's solver cache, as SimSession runs it by default),
+// verifies that every worker count produced bit-identical ensemble
+// statistics, and records wall-clock times + speedups to
+// BENCH_parallel.json.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -16,6 +17,7 @@
 #include "bench_common.hpp"
 #include "core/nanosim.hpp"
 #include "core/ref_circuits.hpp"
+#include "mna/system_cache.hpp"
 
 using namespace nanosim;
 using Clock = std::chrono::steady_clock;
@@ -35,8 +37,7 @@ int main(int argc, char** argv) {
         argc > 2 ? argv[2] : std::string("BENCH_parallel.json");
 
     bench::banner("parallel scaling",
-                  "Monte-Carlo ensemble wall time: serial driver vs "
-                  "thread-pool driver at 1/2/4 workers");
+                  "Monte-Carlo ensemble wall time at 1/2/4 workers");
 
     const Circuit ckt = refckt::noisy_rc();
     const mna::MnaAssembler assembler(ckt);
@@ -50,26 +51,20 @@ int main(int argc, char** argv) {
     options.grid_points = 101;
     constexpr std::uint64_t k_seed = 42;
 
-    bench::section("serial baseline (single-stream run_monte_carlo)");
-    stochastic::Rng rng(k_seed);
-    auto t0 = Clock::now();
-    const auto serial = engines::run_monte_carlo(assembler, options, rng, node);
-    const double serial_ms = ms_since(t0);
-    std::cout << "  " << runs << " realizations in " << serial_ms << " ms ("
-              << serial.flops.total() << " flops)\n";
-
-    bench::section("thread-pool driver (per-realization RNG streams)");
+    bench::section("run_monte_carlo at 1/2/4 workers");
     const std::vector<int> thread_counts{1, 2, 4};
     std::vector<double> pool_ms;
     std::vector<engines::McResult> results;
     for (const int threads : thread_counts) {
-        t0 = Clock::now();
-        results.push_back(engines::run_monte_carlo_parallel(
-            assembler, options, k_seed, node,
+        const auto t0 = Clock::now();
+        stochastic::Rng rng(k_seed);
+        mna::SystemCache cache(assembler);
+        results.push_back(engines::run_monte_carlo(
+            assembler, options, rng, node, nullptr, &cache,
             runtime::ExecutionPolicy{threads}));
         pool_ms.push_back(ms_since(t0));
         std::cout << "  threads=" << threads << ": " << pool_ms.back()
-                  << " ms, speedup vs 1-thread pool = "
+                  << " ms, speedup vs 1 worker = "
                   << pool_ms.front() / pool_ms.back() << "x\n";
     }
 
@@ -89,7 +84,6 @@ int main(int argc, char** argv) {
          << "  \"workload\": \"noisy_rc monte carlo\",\n"
          << "  \"runs\": " << runs << ",\n"
          << "  \"t_stop\": " << options.t_stop << ",\n"
-         << "  \"serial_ms\": " << serial_ms << ",\n"
          << "  \"pool_1_thread_ms\": " << pool_ms[0] << ",\n"
          << "  \"pool_2_thread_ms\": " << pool_ms[1] << ",\n"
          << "  \"pool_4_thread_ms\": " << pool_ms[2] << ",\n"

@@ -123,23 +123,13 @@ struct MonteCarloSpec {
     double noise_dt = 0.0;     ///< noise bandwidth grid; 0 = t_stop/200
     std::size_t grid_points = 201; ///< statistics sampling grid
     std::uint64_t seed = 1;
-    /// false = serial driver, every trial refactoring through the
-    /// session's shared solver cache (the symbolic analysis is never
-    /// repeated); true = the parallel driver (engines/parallel.hpp),
-    /// trials spread over `threads` workers.  Both draw trial k's noise
-    /// from the same seed-derived path set, so their results are
-    /// bit-identical for any `threads`.
-    bool parallel = false;
-    /// Worker count of the parallel driver (0 = all cores), and of the
-    /// batched driver's lane-parallel refactors (only > 1 starts a lane
-    /// pool; 0 and 1 keep the lanes serial).  Results do not depend on
-    /// it.
-    int threads = 0;
-    /// Trial-batch width for the batched driver (engines/mc_batch.hpp):
-    /// > 1 keeps that many trials in flight with batched evaluation,
-    /// refactorisation, and shared-factor solves, bit-identical to the
-    /// serial driver.  Takes precedence over `parallel`.  0/1 = serial.
-    int batch = 0;
+    /// Monte-Carlo trial workers.  1 (default) runs the trials serially,
+    /// every one refactoring through the session's shared solver cache
+    /// (the symbolic analysis is never repeated); N > 1 runs them on N
+    /// workers, one fresh cache per trial; 0 = all cores.  Trial k's
+    /// noise comes from the same seed-derived path set at any count, so
+    /// results are bit-identical for any `threads`.
+    int threads = 1;
     /// Extra nodes to observe alongside `node` (per-node mean/stddev
     /// blocks in the result).
     std::vector<std::string> probes;
@@ -207,10 +197,6 @@ struct SolverWork {
     double solve_s = 0.0;
     /// Chord tables built during this run (0 = reused or disabled).
     std::size_t tables_built = 0;
-    // ---- trial-batched Monte-Carlo (engines/mc_batch.hpp) ----
-    std::size_t mc_batch_width = 0;      ///< frontier width (0 = not batched)
-    std::size_t batched_solves = 0;      ///< steps solved via solve_batch
-    std::size_t shared_factor_solves = 0; ///< solves that reused a lane factor
 };
 
 /// Uniform result header shared by every analysis kind.

@@ -10,7 +10,6 @@
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
-#include "engines/mc_batch.hpp"
 #include "engines/parallel.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
@@ -259,10 +258,6 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
         result.header.solver.solve_s = after.solve_s - before.solve_s;
         result.header.solver.tables_built =
             after.tables_built - before.tables_built;
-        result.header.solver.batched_solves =
-            after.batched_solves - before.batched_solves;
-        result.header.solver.shared_factor_solves =
-            after.shared_factor_solves - before.shared_factor_solves;
     }
     result.header.cache_signature = signature_;
     result.header.elapsed_s = seconds_since(t0);
@@ -286,9 +281,6 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     report.stamp_s = work.stamp_s;
     report.factor_s = work.factor_s;
     report.solve_s = work.solve_s;
-    report.mc_batch_width = work.mc_batch_width;
-    report.batched_solves = work.batched_solves;
-    report.shared_factor_solves = work.shared_factor_solves;
     report.cache_signature = result.header.cache_signature;
     std::visit(
         [&report](const auto& payload) {
@@ -562,38 +554,12 @@ SimSession::run_monte_carlo(const MonteCarloSpec& spec,
         mc.probe_nodes.push_back(circuit_->find_node(probe));
     }
 
-    // Serial: every trial's transient refactors through the ONE session
-    // cache — the symbolic analysis is never repeated.
-    auto serial = [&] {
-        stochastic::Rng rng(spec.seed);
-        return engines::run_monte_carlo(*assembler_, mc, rng, node, observer,
-                                        &solver_cache());
-    };
-    // Batched: a frontier of spec.batch trials through the session cache,
-    // bit-identical to serial (takes precedence over `parallel`).  Lane
-    // refactors stay on the calling thread unless `threads` asks for
-    // more than one worker: the default 0 must not start an all-cores
-    // pool per run (a service already runs jobs side by side).
-    auto batched = [&] {
-        stochastic::Rng rng(spec.seed);
-        return engines::run_monte_carlo_batched(
-            *assembler_, mc, rng, node, spec.batch, observer,
-            &solver_cache(),
-            runtime::ExecutionPolicy{spec.threads > 1 ? spec.threads : 1});
-    };
-    auto parallel = [&] {
-        runtime::ExecutionPolicy policy;
-        policy.threads = spec.threads;
-        return engines::run_monte_carlo_parallel(*assembler_, mc, spec.seed,
-                                                 node, policy, observer);
-    };
-    engines::McResult res = spec.batch > 1  ? batched()
-                            : spec.parallel ? parallel()
-                                            : serial();
-    if (spec.batch > 1) {
-        out.header.solver.mc_batch_width =
-            static_cast<std::size_t>(std::min(spec.batch, spec.runs));
-    }
+    // One worker: every trial's transient refactors through the ONE
+    // session cache — the symbolic analysis is never repeated.
+    stochastic::Rng rng(spec.seed);
+    engines::McResult res = engines::run_monte_carlo(
+        *assembler_, mc, rng, node, observer, &solver_cache(),
+        runtime::ExecutionPolicy{spec.threads});
     out.header.aborted = res.aborted;
     out.payload = std::move(res);
     return out;

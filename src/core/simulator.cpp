@@ -88,8 +88,7 @@ engines::McResult Simulator::monte_carlo(const engines::McOptions& options,
     spec.noise_dt = options.noise_dt;
     spec.grid_points = options.grid_points;
     spec.tran = options.tran;
-    spec.seed = seed;
-    spec.parallel = false; // serial: one shared solver cache across trials
+    spec.seed = seed; // default threads = 1: one shared solver cache
     return take<engines::McResult>(session_.run(spec));
 }
 
@@ -124,7 +123,6 @@ Simulator::monte_carlo_parallel(const engines::McOptions& options,
     spec.grid_points = options.grid_points;
     spec.tran = options.tran;
     spec.seed = seed;
-    spec.parallel = true;
     spec.threads = policy.threads;
     return take<engines::McResult>(session_.run(spec));
 }

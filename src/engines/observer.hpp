@@ -22,10 +22,12 @@
 //    for transients, trial-based for batch drivers).
 //  * `on_step` fires after every accepted step of a per-step engine;
 //    `on_trial` after every completed trial of a batch driver.
-//  * The serial engines invoke all hooks on the calling thread.  The
-//    parallel drivers (engines/parallel.hpp) invoke `on_trial` /
-//    `on_progress` from worker threads — hooks passed there must be
-//    thread-safe.  `cancel` must always be safe to call concurrently.
+//  * The serial engines and the Monte-Carlo driver at any worker count
+//    invoke all hooks on the calling thread (a multi-worker Monte-Carlo
+//    campaign also polls `cancel` from its workers).  The parallel EM
+//    ensemble (engines/parallel.hpp) invokes `on_trial` / `on_progress`
+//    from worker threads — hooks passed there must be thread-safe.
+//    `cancel` must always be safe to call concurrently.
 #ifndef NANOSIM_ENGINES_OBSERVER_HPP
 #define NANOSIM_ENGINES_OBSERVER_HPP
 
@@ -53,9 +55,7 @@ struct AnalysisObserver {
     /// Periodic resumable campaign state from the Monte-Carlo drivers
     /// (every McOptions::checkpoint_every completed trials).  The
     /// reference is only valid for the duration of the call — copy it to
-    /// persist.  Serial and batched drivers emit on the calling thread;
-    /// chunked parallel campaigns emit between chunks on the calling
-    /// thread as well.
+    /// persist.  Emitted on the calling thread at any worker count.
     std::function<void(const McCheckpoint&)> on_checkpoint;
     /// Polled cooperatively; return true to abort with a partial result.
     std::function<bool()> cancel;

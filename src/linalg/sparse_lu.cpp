@@ -5,8 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/flops.hpp"
 
@@ -334,8 +332,8 @@ bool SparseLu::numeric_sweep(std::span<const double> values, double tol,
         if (pivot_mag < tol ||
             pivot_mag < k_refactor_pivot_ratio * cand_max) {
             // Degraded: restore x's zero invariant and bill NOTHING for
-            // the attempt — the caller's fallback full factorisation (or
-            // serial replay of the lanes) accounts for the step once.
+            // the attempt — the caller's fallback full factorisation
+            // accounts for the step once.
             for (std::size_t it = reach_begin; it < reach_end; ++it) {
                 x[reach_nodes_[it]] = 0.0;
             }
@@ -359,200 +357,6 @@ bool SparseLu::numeric_sweep(std::span<const double> values, double tol,
     }
     flops += fl;
     return true;
-}
-
-bool SparseLu::refactor_lanes(
-    std::span<const std::span<const double>> lane_values,
-    std::span<LaneFactor> factors, std::span<std::uint64_t> lane_flops,
-    runtime::ThreadPool* pool) {
-    const std::size_t m = lane_values.size();
-    if (factors.size() != m || lane_flops.size() != m) {
-        throw SimError("SparseLu::refactor_lanes: lane span size mismatch");
-    }
-    if (m == 0) {
-        return false; // nothing to factor: the caller's replay is a no-op
-    }
-    for (const std::span<const double> values : lane_values) {
-        if (values.size() != row_idx_.size()) {
-            throw SimError("SparseLu::refactor_lanes: value count does not "
-                           "match the cached pattern");
-        }
-    }
-    if (lane_vals_.size() < m) {
-        lane_vals_.resize(m);
-    }
-    if (lane_x_.size() < m) {
-        lane_x_.resize(m);
-    }
-    std::vector<std::uint8_t> ok(m, 0);
-
-    auto run_lane = [&](std::size_t i) {
-        std::span<const double> internal = lane_values[i];
-        if (!user_slot_.empty()) {
-            // Lane-private gather into internal (permuted) order — the
-            // shared perm_values_ scratch is single-lane.
-            std::vector<double>& buf = lane_vals_[i];
-            buf.resize(user_slot_.size());
-            for (std::size_t s = 0; s < user_slot_.size(); ++s) {
-                buf[s] = lane_values[i][user_slot_[s]];
-            }
-            internal = buf;
-        }
-        // Same threshold a serial refactor of this plane would use (the
-        // permutation reorders values, so the max is unchanged).
-        const double tol =
-            pivot_tol_ * std::max(max_abs_value(internal), 1e-300);
-        std::vector<double>& x = lane_x_[i];
-        if (x.size() != n_) {
-            x.assign(n_, 0.0);
-        }
-        LaneFactor& f = factors[i];
-        f.l_val.resize(l_val_.size());
-        f.u_val.resize(u_val_.size());
-        lane_flops[i] = 0;
-        ok[i] = numeric_sweep(internal, tol, f.l_val.data(), f.u_val.data(),
-                              x, lane_flops[i])
-                    ? 1
-                    : 0;
-    };
-
-    if (pool != nullptr && m > 1 && n_ >= k_parallel_min_cols) {
-        runtime::parallel_for(*pool, m, [&](std::size_t i) {
-            obs::Span span("factor.lane", "linalg");
-            run_lane(i);
-        });
-    } else {
-        for (std::size_t i = 0; i < m; ++i) {
-            run_lane(i);
-        }
-    }
-
-    for (std::size_t i = 0; i < m; ++i) {
-        if (ok[i] == 0) {
-            return false; // nothing billed; all factors invalid
-        }
-    }
-
-    // Bill once from the calling thread, lane by lane so the rounding of
-    // the mul/add halves matches m serial refactors of the same planes.
-    fast_refactors_ += m;
-    for (const std::uint64_t f : lane_flops) {
-        bill_factor(f);
-    }
-    return true;
-}
-
-Vector SparseLu::solve_lane(const LaneFactor& f, const Vector& b) const {
-    Vector out;
-    const Vector* rhs = &b;
-    Vector* x = &out;
-    solve_multi(std::span<const Vector* const>(&rhs, 1),
-                std::span<Vector* const>(&x, 1), &f);
-    return out;
-}
-
-void SparseLu::solve_multi(std::span<const Vector* const> rhs,
-                           std::span<Vector* const> out,
-                           const LaneFactor* f) const {
-    const std::size_t m = rhs.size();
-    if (out.size() != m) {
-        throw SimError("SparseLu::solve_multi: rhs/out span size mismatch");
-    }
-    const double* lv = f != nullptr ? f->l_val.data() : l_val_.data();
-    const double* uv = f != nullptr ? f->u_val.data() : u_val_.data();
-
-    // Column work vectors in pivot space: the output vectors double as
-    // the substitution buffers; the permuted path scatters back at the
-    // end (same two-stage gather/scatter as solve()).
-    std::vector<Vector> scratch;
-    std::vector<Vector*> work(m);
-    if (!permuted()) {
-        for (std::size_t c = 0; c < m; ++c) {
-            work[c] = out[c];
-        }
-    } else {
-        scratch.resize(m);
-        for (std::size_t c = 0; c < m; ++c) {
-            work[c] = &scratch[c];
-        }
-    }
-    std::vector<std::uint64_t> col_flops(m, 0);
-    Vector pb; // permuted-rhs gather scratch, reused per column
-    for (std::size_t c = 0; c < m; ++c) {
-        const Vector& b = *rhs[c];
-        if (b.size() != n_) {
-            throw SimError("SparseLu::solve_multi: rhs size mismatch");
-        }
-        Vector& y = *work[c];
-        y.assign(n_, 0.0);
-        if (!permuted()) {
-            for (std::size_t i = 0; i < n_; ++i) {
-                y[pinv_[i]] = b[i];
-            }
-        } else {
-            perm_.apply(b, pb);
-            for (std::size_t i = 0; i < n_; ++i) {
-                y[pinv_[i]] = pb[i];
-            }
-        }
-    }
-
-    // Blocked substitution: each L/U column streams once per block of
-    // rhs columns, but per column the operation sequence (zero-skips
-    // included) is exactly solve_internal's — interleaving independent
-    // columns changes nothing about any one column's arithmetic.
-    for (std::size_t c0 = 0; c0 < m; c0 += k_solve_block) {
-        const std::size_t c1 = std::min(m, c0 + k_solve_block);
-        for (std::size_t j = 0; j < n_; ++j) {
-            const std::size_t lp = l_ptr_[j];
-            const std::size_t lp_end = l_ptr_[j + 1];
-            for (std::size_t c = c0; c < c1; ++c) {
-                Vector& y = *work[c];
-                const double yj = y[j];
-                if (yj == 0.0) {
-                    continue;
-                }
-                for (std::size_t p = lp; p < lp_end; ++p) {
-                    y[l_prow_[p]] -= lv[p] * yj;
-                }
-                col_flops[c] += 2 * (lp_end - lp);
-            }
-        }
-        for (std::size_t jj = n_; jj-- > 0;) {
-            const std::size_t up = u_ptr_[jj];
-            const std::size_t up_end = u_ptr_[jj + 1];
-            const double ujj = uv[up_end - 1];
-            for (std::size_t c = c0; c < c1; ++c) {
-                Vector& y = *work[c];
-                const double xj = y[jj] / ujj;
-                y[jj] = xj;
-                ++col_flops[c];
-                if (xj == 0.0) {
-                    continue;
-                }
-                for (std::size_t k = up; k + 1 < up_end; ++k) {
-                    y[u_row_[k]] -= uv[k] * xj;
-                }
-                col_flops[c] += 2 * (up_end - 1 - up);
-            }
-        }
-    }
-
-    if (permuted()) {
-        for (std::size_t c = 0; c < m; ++c) {
-            out[c]->resize(n_);
-            perm_.apply_inverse(scratch[c], *out[c]);
-        }
-    }
-
-    // Per-column billing, halves rounded per column: K columns count
-    // exactly what K solve() calls on the same rhs vectors would.
-    auto& counter = current_flops();
-    for (std::size_t c = 0; c < m; ++c) {
-        counter.lu_solve += col_flops[c];
-        counter.mul += col_flops[c] / 2;
-        counter.add += col_flops[c] / 2;
-    }
 }
 
 bool SparseLu::refactor(std::span<const double> values) {

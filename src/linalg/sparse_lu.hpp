@@ -32,10 +32,6 @@
 #include "linalg/ordering.hpp"
 #include "linalg/sparse.hpp"
 
-namespace nanosim::runtime {
-class ThreadPool; // avoid linalg -> runtime header coupling (see .cpp)
-} // namespace nanosim::runtime
-
 namespace nanosim::linalg {
 
 /// Sparse LU of a square matrix with row partial pivoting: P A = L U —
@@ -127,72 +123,14 @@ public:
     /// re-pivoting (KLU uses the same style of threshold pivoting).
     static constexpr double k_refactor_pivot_ratio = 1e-3;
 
-    /// Below this many columns refactor_lanes() keeps every lane on the
-    /// calling thread (task overhead would dominate the numeric work).
-    static constexpr std::size_t k_parallel_min_cols = 64;
-
-    /// Flat factor values — the lane-vs-serial and refactor-vs-fresh
-    /// bit-identity checks memcmp these.
+    /// Flat factor values — the refactor-vs-fresh bit-identity checks
+    /// memcmp these.
     [[nodiscard]] std::span<const double> l_values() const noexcept {
         return l_val_;
     }
     [[nodiscard]] std::span<const double> u_values() const noexcept {
         return u_val_;
     }
-
-    // ---- trial-batched numeric refactorisation + multi-RHS solve --------
-    //
-    // The batched Monte-Carlo driver factors the systems of K due trials
-    // in one call: every lane shares THIS analysis's symbolic structure
-    // (pattern, reach sets, pivot sequence, gather plan) and differs only
-    // in its value plane.  Each lane runs refactor()'s numeric sweep on
-    // lane-private scratch and lane-private output planes, so the factors
-    // are bit-identical to K serial refactor(values) calls at any worker
-    // count — lanes are dispatched across the pool whole (one task per
-    // lane), never split.
-
-    /// One lane's numeric factors over the shared flat symbolic
-    /// structure: value planes parallel to l_values()/u_values().
-    struct LaneFactor {
-        std::vector<double> l_val;
-        std::vector<double> u_val;
-    };
-
-    /// Batched numeric refactorisation.  lane_values[i] is lane i's value
-    /// plane in the caller's pattern order; on success factors[i] holds
-    /// its L/U planes and lane_flops[i] the factor flops a serial
-    /// refactor(lane_values[i]) would have billed.  Lanes run as tasks on
-    /// `pool` (non-owning; nullptr = all on the calling thread).  The
-    /// summed flops are billed once, on the calling thread, after all
-    /// lanes join.  When ANY lane's recorded pivot degrades the call
-    /// returns false billing nothing and every LaneFactor is invalid —
-    /// the caller replays the lanes through the serial
-    /// refactor()/full-factor path so counters and fallback behaviour
-    /// stay exactly the serial driver's.
-    [[nodiscard]] bool
-    refactor_lanes(std::span<const std::span<const double>> lane_values,
-                   std::span<LaneFactor> factors,
-                   std::span<std::uint64_t> lane_flops,
-                   runtime::ThreadPool* pool = nullptr);
-
-    /// Solve A x = b against a lane's factors (original numbering; the
-    /// pre-permutation is applied and undone exactly like solve()).
-    [[nodiscard]] Vector solve_lane(const LaneFactor& f,
-                                    const Vector& b) const;
-
-    /// Blocked multi-RHS forward/back substitution under ONE factor —
-    /// the live factors when `f` is null, a lane's otherwise.  Columns
-    /// are processed in blocks of k_solve_block so each L/U column
-    /// streams once per block, but every rhs column's arithmetic
-    /// (including the zero-skips) is exactly solve()'s, and flops are
-    /// billed per column: K columns cost and count the same as K
-    /// independent solve() calls.
-    void solve_multi(std::span<const Vector* const> rhs,
-                     std::span<Vector* const> out,
-                     const LaneFactor* f = nullptr) const;
-
-    /// Columns per block of the multi-RHS substitution.
-    static constexpr std::size_t k_solve_block = 4;
 
 private:
     /// Compress `a` into the cached CSC pattern (duplicates summed);
@@ -213,11 +151,10 @@ private:
     /// internal-order `values`, eliminate along the recorded reach set,
     /// check the recorded pivot against `tol` and k_refactor_pivot_ratio,
     /// and gather through the flat plan into the planes `lv`/`uv`
-    /// (parallel to l_val_/u_val_).  Reads only the shared symbolic
-    /// structure, so concurrent calls on distinct planes and scratch are
-    /// safe.  `x` is all-zero scratch of size n_ and is all-zero again on
-    /// return.  Returns false on a degraded pivot, adding nothing to
-    /// `flops` (the caller's fallback accounts for the step once).
+    /// (parallel to l_val_/u_val_).  `x` is all-zero scratch of size n_
+    /// and is all-zero again on return.  Returns false on a degraded
+    /// pivot, adding nothing to `flops` (the caller's fallback accounts
+    /// for the step once).
     bool numeric_sweep(std::span<const double> values, double tol,
                        double* lv, double* uv, std::vector<double>& x,
                        std::uint64_t& flops) const noexcept;
@@ -241,11 +178,6 @@ private:
     std::vector<double> perm_values_; // gather scratch (hot path: no alloc)
     mutable Vector perm_b_;           // solve() rhs-gather scratch
     mutable Vector perm_y_;           // solve() permuted-solution scratch
-    /// Per-lane gather + scatter scratch for refactor_lanes (the shared
-    /// perm_values_/work_ scratch is single-lane; concurrent lanes need
-    /// private buffers, indexed by lane).
-    std::vector<std::vector<double>> lane_vals_;
-    std::vector<std::vector<double>> lane_x_;
 
     std::vector<std::size_t> pinv_;      // pinv_[orig_row] = permuted position
     std::vector<std::size_t> pivot_row_; // pivot_row_[j] = orig row of pivot j

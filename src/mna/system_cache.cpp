@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <new>
 #include <optional>
 #include <utility>
@@ -704,151 +703,6 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
     stats_.factor_nnz = lu_->nnz_factors();
     const ScopedTimer timer(stats_.solve_s, "solve");
     return lu_->solve(rhs);
-}
-
-bool SystemCache::capture_plane(std::vector<double>& out) const {
-    if (!overflow_.empty()) {
-        return false; // the step escaped the frozen pattern: solve inline
-    }
-    out.assign(values_.begin(), values_.end());
-    return true;
-}
-
-void SystemCache::eval_chords_batch(std::span<const EvalLane> lanes) {
-    const ScopedTimer timer(stats_.eval_s, "eval");
-    std::vector<StampProgram::EvalLane> plan(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        plan[i] = StampProgram::EvalLane{
-            .v = assembler_->view(lanes[i].x),
-            .dvdt = assembler_->view(lanes[i].dvdt),
-            .with_rate = lanes[i].with_rate,
-            .geq = lanes[i].geq,
-            .geq_rate = lanes[i].geq_rate};
-    }
-    program_->eval_chords_multi(plan);
-}
-
-void SystemCache::solve_batch(std::span<SolveLane> lanes,
-                              runtime::ThreadPool* pool) {
-    if (lanes.empty()) {
-        return;
-    }
-
-    // Serial replay of one lane: restore its stamped plane and run the
-    // ordinary solve(), which bills steps/factors/fallbacks itself —
-    // the deterministic fallback whenever the batch path cannot serve
-    // the round (and the reason batched results can never diverge from
-    // the serial driver's).
-    auto replay = [&](SolveLane& lane) {
-        values_.assign(lane.values.begin(), lane.values.end());
-        lane.x = solve(lane.rhs);
-    };
-
-    if (dense_path() || lu_ == nullptr) {
-        for (SolveLane& lane : lanes) {
-            replay(lane);
-        }
-        return;
-    }
-
-    obs::Histogram* factor_hist = nullptr;
-    if (obs::metrics_enabled()) {
-        static obs::Histogram& h =
-            obs::metrics().histogram("cache.factor_s", obs::time_buckets());
-        factor_hist = &h;
-    }
-
-    // Group lanes whose value planes are bit-identical (linear circuits,
-    // RHS-only noise perturbations): one factor serves the whole group
-    // through the blocked multi-RHS substitution.
-    const std::size_t m = lanes.size();
-    std::vector<std::size_t> group_of(m);
-    std::vector<std::size_t> reps; // first lane of each group
-    for (std::size_t i = 0; i < m; ++i) {
-        std::size_t g = reps.size();
-        for (std::size_t r = 0; r < reps.size(); ++r) {
-            const std::vector<double>& a = lanes[i].values;
-            const std::vector<double>& b = lanes[reps[r]].values;
-            if (a.size() == b.size() &&
-                std::memcmp(a.data(), b.data(),
-                            a.size() * sizeof(double)) == 0) {
-                g = r;
-                break;
-            }
-        }
-        if (g == reps.size()) {
-            reps.push_back(i);
-        }
-        group_of[i] = g;
-    }
-
-    // One batched refactor dispatch for the round's representatives.
-    std::vector<std::span<const double>> planes;
-    planes.reserve(reps.size());
-    for (const std::size_t r : reps) {
-        planes.emplace_back(lanes[r].values);
-    }
-    std::vector<linalg::SparseLu::LaneFactor> factors(reps.size());
-    std::vector<std::uint64_t> rep_flops(reps.size(), 0);
-    bool ok = false;
-    {
-        const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
-        ok = lu_->refactor_lanes(planes, factors, rep_flops, pool);
-    }
-    if (!ok) {
-        // A degraded pivot anywhere: nothing was billed; replay every
-        // lane in order so the pivot fallback runs exactly where and how
-        // the serial driver would run it.
-        for (SolveLane& lane : lanes) {
-            replay(lane);
-        }
-        return;
-    }
-
-    // As-if-serial accounting: every lane is one step and one fast
-    // refactor.  refactor_lanes billed the representatives' factor
-    // flops; group members bill their representative's tally (identical
-    // planes refactor with identical arithmetic), so totals equal m
-    // serial solve() calls exactly.
-    stats_.steps += m;
-    stats_.fast_refactors += m;
-    std::vector<std::uint8_t> is_rep(m, 0);
-    for (const std::size_t r : reps) {
-        is_rep[r] = 1;
-    }
-    auto& counter = current_flops();
-    for (std::size_t i = 0; i < m; ++i) {
-        if (is_rep[i] != 0) {
-            continue;
-        }
-        const std::uint64_t f = rep_flops[group_of[i]];
-        counter.lu_factor += f;
-        counter.mul += f / 2;
-        counter.add += f / 2;
-    }
-
-    {
-        // Per group, ascending lane order: one blocked multi-RHS pass
-        // under the shared factor.  solve_multi bills flops per rhs
-        // column, so SolverWork stays comparable with the serial driver.
-        const ScopedTimer timer(stats_.solve_s, "solve");
-        std::vector<const linalg::Vector*> rhs_ptrs;
-        std::vector<linalg::Vector*> out_ptrs;
-        for (std::size_t g = 0; g < reps.size(); ++g) {
-            rhs_ptrs.clear();
-            out_ptrs.clear();
-            for (std::size_t i = 0; i < m; ++i) {
-                if (group_of[i] != g) {
-                    continue;
-                }
-                rhs_ptrs.push_back(&lanes[i].rhs);
-                out_ptrs.push_back(&lanes[i].x);
-            }
-            lu_->solve_multi(rhs_ptrs, out_ptrs, &factors[g]);
-        }
-    }
-    stats_.batched_solves += m;
-    stats_.shared_factor_solves += m - reps.size();
 }
 
 } // namespace nanosim::mna

@@ -44,10 +44,6 @@
 #include "mna/mna.hpp"
 #include "mna/stamp_program.hpp"
 
-namespace nanosim::runtime {
-class ThreadPool;
-} // namespace nanosim::runtime
-
 namespace nanosim::mna {
 
 /// Union stamp-pattern coordinates of an assembled circuit — every
@@ -125,51 +121,6 @@ public:
     /// solve for the current values.  `rhs` is the vector passed to
     /// begin() after all dynamic contributions.
     [[nodiscard]] linalg::Vector solve(const linalg::Vector& rhs);
-
-    // ---- trial-batched solves (trial-batched Monte-Carlo) -------------
-
-    /// Copy the currently stamped value plane (frozen-pattern order)
-    /// into `out` so the system can be solved later via solve_batch.
-    /// Returns false when this step overflowed the frozen pattern — the
-    /// caller must solve that lane inline through solve() instead.
-    [[nodiscard]] bool capture_plane(std::vector<double>& out) const;
-
-    /// One lane of a batched deferred solve: a captured value plane, its
-    /// rhs, and the solution written back by solve_batch.
-    struct SolveLane {
-        std::vector<double> values;
-        linalg::Vector rhs;
-        linalg::Vector x;
-    };
-
-    /// Solve every lane's system in one call.  On the sparse path the
-    /// numeric refactors of all lanes run through one
-    /// SparseLu::refactor_lanes dispatch (one task per lane on `pool`,
-    /// non-owning; nullptr = the calling thread), lanes with
-    /// bit-identical value planes share one factor through the blocked
-    /// multi-RHS substitution, and counters/flops are billed exactly as
-    /// K serial solve() calls would bill them.  Any lane the batch path
-    /// cannot serve (dense path, no live factorisation yet, or a
-    /// degraded pivot in any lane) is replayed through the serial
-    /// solve() in lane order, so results and Stats stay bit-identical to
-    /// the serial driver.
-    void solve_batch(std::span<SolveLane> lanes,
-                     runtime::ThreadPool* pool = nullptr);
-
-    /// One lane of a batched cross-trial chord evaluation.
-    struct EvalLane {
-        std::span<const double> x;
-        std::span<const double> dvdt;
-        bool with_rate = false;
-        std::span<double> geq;
-        std::span<double> geq_rate;
-    };
-
-    /// eval_chords for every lane in one batched entry (the compiled
-    /// StampProgram SoA kernels run lane by lane over shared scratch —
-    /// arithmetic identical to per-lane eval_chords).  Time lands in
-    /// Stats::eval_s once for the whole batch.
-    void eval_chords_batch(std::span<const EvalLane> lanes);
 
     // ---- engine-facing fast paths ------------------------------------
     // Each method routes through the compiled StampProgram, which the
@@ -277,12 +228,6 @@ public:
         double factor_s = 0.0;
         double solve_s = 0.0;
         std::size_t tables_built = 0; ///< ChordTable builds by this cache
-        // ---- trial-batched solve path (solve_batch; 0 when unused) ----
-        std::size_t batched_solves = 0; ///< lanes served by solve_batch
-        /// Lanes that reused another lane's factor through the multi-RHS
-        /// substitution instead of refactoring (identical value planes —
-        /// linear circuits / RHS-only noise perturbations).
-        std::size_t shared_factor_solves = 0;
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 

@@ -65,9 +65,6 @@ std::string RunReport::to_json() const {
        << ",\"source_succeeded\":" << rescues.source_succeeded
        << "},\"failed_trials\":" << failed_trials
        << ",\"trials\":" << trials
-       << ",\"mc_batch_width\":" << mc_batch_width
-       << ",\"batched_solves\":" << batched_solves
-       << ",\"shared_factor_solves\":" << shared_factor_solves
        << ",\"full_factors\":" << full_factors
        << ",\"fast_refactors\":" << fast_refactors
        << ",\"dense_solves\":" << dense_solves
@@ -156,15 +153,6 @@ std::string RunReport::pretty() const {
     }
     if (trials > 0) {
         count_line(os, "trials", trials);
-    }
-    if (mc_batch_width > 0) {
-        count_line(os, "mc batch width", mc_batch_width);
-    }
-    if (batched_solves > 0) {
-        count_line(os, "batched solves", batched_solves);
-    }
-    if (shared_factor_solves > 0) {
-        count_line(os, "shared-factor solves", shared_factor_solves);
     }
 
     os << "solver cache:\n";

@@ -387,9 +387,7 @@ Value mc_to_json(const MonteCarloSpec& s) {
     put(obj, "noise_dt", s.noise_dt, d.noise_dt);
     put_size(obj, "grid_points", s.grid_points, d.grid_points);
     put_u64(obj, "seed", s.seed, d.seed);
-    put(obj, "parallel", s.parallel, d.parallel);
     put(obj, "threads", s.threads, d.threads);
-    put(obj, "batch", s.batch, d.batch);
     if (!s.probes.empty()) obj.set("probes", strings_to_json(s.probes));
     put(obj, "checkpoint_every", s.checkpoint_every, d.checkpoint_every);
     if (s.resume != nullptr) obj.set("resume", checkpoint_to_json(*s.resume));
@@ -400,8 +398,8 @@ Value mc_to_json(const MonteCarloSpec& s) {
 MonteCarloSpec mc_from_json(const Value& v) {
     check_keys(v,
                {"kind", "name", "common", "node", "t_stop", "runs",
-                "noise_dt", "grid_points", "seed", "parallel", "threads",
-                "batch", "probes", "checkpoint_every", "resume", "tran"},
+                "noise_dt", "grid_points", "seed", "threads", "probes",
+                "checkpoint_every", "resume", "tran"},
                "monte-carlo spec");
     MonteCarloSpec s;
     if (const Value* p = v.find("name")) s.name = p->as_string();
@@ -413,9 +411,7 @@ MonteCarloSpec mc_from_json(const Value& v) {
     if (const Value* p = v.find("grid_points"))
         s.grid_points = static_cast<std::size_t>(p->as_uint());
     if (const Value* p = v.find("seed")) s.seed = u64_from(*p, "seed");
-    if (const Value* p = v.find("parallel")) s.parallel = p->as_bool();
     if (const Value* p = v.find("threads")) s.threads = p->as_int();
-    if (const Value* p = v.find("batch")) s.batch = p->as_int();
     if (const Value* p = v.find("probes")) {
         for (const Value& e : p->as_array())
             s.probes.push_back(e.as_string());
@@ -1014,10 +1010,6 @@ Value solver_work_to_json(const SolverWork& w) {
     obj.set("factor_s", Value(w.factor_s));
     obj.set("solve_s", Value(w.solve_s));
     obj.set("tables_built", Value(static_cast<double>(w.tables_built)));
-    obj.set("mc_batch_width", Value(static_cast<double>(w.mc_batch_width)));
-    obj.set("batched_solves", Value(static_cast<double>(w.batched_solves)));
-    obj.set("shared_factor_solves",
-            Value(static_cast<double>(w.shared_factor_solves)));
     return obj;
 }
 
@@ -1025,8 +1017,7 @@ SolverWork solver_work_from_json(const Value& v) {
     check_keys(v,
                {"full_factors", "fast_refactors", "dense_solves",
                 "pivot_fallbacks", "pattern_rebuilds", "analyze_s",
-                "eval_s", "stamp_s", "factor_s", "solve_s", "tables_built",
-                "mc_batch_width", "batched_solves", "shared_factor_solves"},
+                "eval_s", "stamp_s", "factor_s", "solve_s", "tables_built"},
                "solver work");
     SolverWork w;
     w.full_factors =
@@ -1046,12 +1037,6 @@ SolverWork solver_work_from_json(const Value& v) {
     w.solve_s = v.at("solve_s").as_number();
     w.tables_built =
         static_cast<std::size_t>(v.at("tables_built").as_uint());
-    w.mc_batch_width =
-        static_cast<std::size_t>(v.at("mc_batch_width").as_uint());
-    w.batched_solves =
-        static_cast<std::size_t>(v.at("batched_solves").as_uint());
-    w.shared_factor_solves =
-        static_cast<std::size_t>(v.at("shared_factor_solves").as_uint());
     return w;
 }
 
@@ -1114,10 +1099,6 @@ obs::RunReport report_from_json(const Value& v, const AnalysisHeader& header) {
     r.rescues = rescues_from_json(v.at("rescues"));
     r.failed_trials = u64_from(v.at("failed_trials"), "failed_trials");
     r.trials = u64_from(v.at("trials"), "trials");
-    r.mc_batch_width = u64_from(v.at("mc_batch_width"), "mc_batch_width");
-    r.batched_solves = u64_from(v.at("batched_solves"), "batched_solves");
-    r.shared_factor_solves =
-        u64_from(v.at("shared_factor_solves"), "shared_factor_solves");
     r.full_factors = u64_from(v.at("full_factors"), "full_factors");
     r.fast_refactors = u64_from(v.at("fast_refactors"), "fast_refactors");
     r.dense_solves = u64_from(v.at("dense_solves"), "dense_solves");

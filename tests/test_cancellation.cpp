@@ -158,8 +158,9 @@ TEST(Cancellation, ParallelDriversHonourPreCancelledObserver) {
     mc.t_stop = 1e-9;
     mc.runs = 4;
     mc.grid_points = 11;
-    const engines::McResult mcr = engines::run_monte_carlo_parallel(
-        assembler, mc, 1, 1, runtime::ExecutionPolicy{2}, &obs);
+    stochastic::Rng rng(1);
+    const engines::McResult mcr = engines::run_monte_carlo(
+        assembler, mc, rng, 1, &obs, nullptr, runtime::ExecutionPolicy{2});
     EXPECT_TRUE(mcr.aborted);
     EXPECT_EQ(mcr.stats.at(0).count(), 0u);
 

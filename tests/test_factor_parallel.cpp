@@ -1,5 +1,5 @@
 // Numeric refactorisation suite: the one refactor sweep behind
-// SparseLu::refactor() and SparseLu::refactor_lanes().
+// SparseLu::refactor().
 //
 // The contracts under test:
 //
@@ -12,8 +12,6 @@
 //  * a FAILED fast-refactor attempt bills zero flops — the fallback full
 //    factorisation accounts for the step exactly once (the historical
 //    double-count regression);
-//  * refactor_lanes() on 1 or 4 workers reproduces serial refactor() of
-//    each lane's plane bit for bit, billing the same flops;
 //  * the circuit-level path (SystemCache / SimSession) inherits all of
 //    the above, including the pivot_fallbacks counter algebra: one
 //    fallback = full_factors + 1 and pivot_fallbacks + 1, never
@@ -24,7 +22,6 @@
 #include <cstring>
 #include <random>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/ref_circuits.hpp"
@@ -36,7 +33,6 @@
 #include "linalg/vecops.hpp"
 #include "mna/mna.hpp"
 #include "mna/system_cache.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/flops.hpp"
 
 namespace nanosim {
@@ -284,76 +280,6 @@ TEST(FactorRefactor, FailedAttemptBillsNoFlops) {
     FlopScope scope;
     ASSERT_TRUE(lu.refactor(std::span<const double>(a_slots)));
     EXPECT_GT(scope.counter().lu_factor, 0u);
-}
-
-// ---- SparseLu level: lane refactors ----------------------------------------
-
-TEST(FactorRefactor, LanesMatchSerialRefactorAtOneAndFourWorkers) {
-    const std::size_t k = 10; // n = 100 >= k_parallel_min_cols
-    const Triplets a = laplacian2d(k);
-    ASSERT_GE(k * k, SparseLu::k_parallel_min_cols);
-    const OrderedMesh mesh = analyse_mesh(a);
-    const Vector b = make_rhs(k * k, 5);
-
-    constexpr std::size_t lanes = 6;
-    std::vector<std::vector<double>> planes;
-    for (std::uint32_t i = 0; i < lanes; ++i) {
-        planes.push_back(mesh.slots(perturb(a, 300 + i)));
-    }
-    std::vector<std::span<const double>> spans(planes.begin(), planes.end());
-
-    // Serial reference: one refactor() per plane, flops billed per call.
-    std::vector<Factors> ref;
-    std::uint64_t serial_flops = 0;
-    {
-        SparseLu serial(a, mesh.perm);
-        FlopScope scope;
-        for (const std::vector<double>& values : planes) {
-            ASSERT_TRUE(serial.refactor(std::span<const double>(values)));
-            ref.push_back(snapshot(serial, b));
-        }
-        serial_flops = scope.counter().lu_factor;
-    }
-
-    for (const int workers : {1, 4}) {
-        runtime::ThreadPool pool(workers);
-        SparseLu lu(a, mesh.perm);
-        std::vector<SparseLu::LaneFactor> factors(lanes);
-        std::vector<std::uint64_t> lane_flops(lanes, 0);
-        FlopScope scope;
-        ASSERT_TRUE(lu.refactor_lanes(spans, factors, lane_flops,
-                                      workers > 1 ? &pool : nullptr));
-        EXPECT_EQ(scope.counter().lu_factor, serial_flops)
-            << workers << " workers";
-        EXPECT_EQ(lu.fast_refactor_count(), lanes);
-        for (std::size_t i = 0; i < lanes; ++i) {
-            const Factors got{factors[i].l_val, factors[i].u_val,
-                              lu.solve_lane(factors[i], b)};
-            SCOPED_TRACE("lane " + std::to_string(i) + ", " +
-                         std::to_string(workers) + " workers");
-            expect_same_factors(got, ref[i]);
-        }
-    }
-}
-
-TEST(FactorRefactor, DegradedLaneFailsTheBatchBillingNothing) {
-    const std::size_t k = 10;
-    const Triplets a = laplacian2d(k);
-    const OrderedMesh mesh = analyse_mesh(a);
-    std::vector<std::vector<double>> planes = {
-        mesh.slots(perturb(a, 1)), mesh.slots(degrade_pivot(a, 57, k)),
-        mesh.slots(perturb(a, 2))};
-    std::vector<std::span<const double>> spans(planes.begin(), planes.end());
-
-    runtime::ThreadPool pool(4);
-    SparseLu lu(a, mesh.perm);
-    std::vector<SparseLu::LaneFactor> factors(planes.size());
-    std::vector<std::uint64_t> lane_flops(planes.size(), 0);
-    FlopScope scope;
-    EXPECT_FALSE(lu.refactor_lanes(spans, factors, lane_flops, &pool));
-    EXPECT_EQ(scope.counter().lu_factor, 0u);
-    EXPECT_EQ(lu.fast_refactor_count(), 0u);
-    EXPECT_EQ(lu.full_factor_count(), 1u);
 }
 
 // ---- SystemCache level: fallback counter algebra ---------------------------

@@ -594,10 +594,10 @@ TEST(ObsPool, StatsSnapshotTearFreeUnderHammer) {
     EXPECT_GE(final_stats.queue_wait_s, 0.0);
 }
 
-// ---- factor-time attribution under the lane-parallel refactor ----------
+// ---- time attribution under a multi-worker Monte-Carlo ----------------
 
-/// 12x12 RC mesh with an RTD at every node (per-trial value planes
-/// differ: no shared factors) and one noise source at the centre.
+/// 12x12 RC mesh with an RTD at every node and one noise source at the
+/// centre.
 SimSession noisy_rtd_mesh() {
     refckt::MeshSpec mesh;
     mesh.rows = 12;
@@ -609,74 +609,52 @@ SimSession noisy_rtd_mesh() {
     return SimSession(std::move(ckt));
 }
 
-/// Short 8-trial MC on noisy_rtd_mesh() through the batched driver.
-MonteCarloSpec batched_mesh_mc() {
+TEST(ObsReport, TimeSplitIsCallerWallClockUnderParallelMonteCarlo) {
+    // Attribution contract: the time-split buckets are the CALLER's wall
+    // clock over the session cache's sections — never the sum of
+    // per-worker durations, which would exceed elapsed_s on multi-core.
+    // The per-trial detail of a multi-worker campaign lives in "trial"
+    // trace spans instead.
+    const TelemetryOff off;
+    obs::set_metrics_enabled(true);
+    obs::start_trace();
+
     MonteCarloSpec spec;
     spec.node = "n6_6";
     spec.t_stop = 2e-9;
     spec.noise_dt = 2.5e-10;
     spec.runs = 8;
     spec.grid_points = 11;
-    spec.batch = 4;
-    return spec;
-}
+    SimSession session = noisy_rtd_mesh();
 
-TEST(ObsReport, FactorTimeIsCallerWallClockUnderParallelRefactor) {
-    // Attribution contract: factor_s is the CALLER's wall clock over the
-    // factor section — never the sum of per-worker durations, which
-    // would report factor_s > elapsed_s on multi-core.  The per-lane
-    // detail of the batched MC driver's pool lives in "factor.lane"
-    // trace spans instead.
-    const TelemetryOff off;
-    obs::set_metrics_enabled(true);
-    obs::start_trace();
+    // Default: one worker, every trial through the session cache.
+    ASSERT_EQ(spec.threads, 1);
+    const obs::RunReport serial = session.run(spec).report;
+    EXPECT_GT(serial.fast_refactors, 0u);
+    EXPECT_GT(serial.factor_s, 0.0);
+    EXPECT_LE(serial.factor_s, serial.elapsed_s);
 
-    MonteCarloSpec spec = batched_mesh_mc();
+    // Four workers: trials factor through their own caches, so none of
+    // their time lands in the session's buckets.
     spec.threads = 4;
-    const AnalysisResult result = noisy_rtd_mesh().run(spec);
+    const obs::RunReport pooled = session.run(spec).report;
     obs::stop_trace();
     obs::set_metrics_enabled(false);
-
-    const obs::RunReport& rep = result.report;
-    EXPECT_GT(rep.batched_solves, 0u);
-    EXPECT_GT(rep.fast_refactors, 0u);
-    EXPECT_GT(rep.factor_s, 0.0);
-    EXPECT_LE(rep.factor_s, rep.elapsed_s)
-        << "factor attribution must be wall clock, not per-worker sums";
-    EXPECT_LE(rep.analyze_s + rep.eval_s + rep.stamp_s + rep.factor_s +
-                  rep.solve_s,
-              rep.elapsed_s)
+    EXPECT_EQ(pooled.trials, 8u);
+    EXPECT_EQ(pooled.full_factors + pooled.fast_refactors, 0u);
+    EXPECT_LE(pooled.analyze_s + pooled.eval_s + pooled.stamp_s +
+                  pooled.factor_s + pooled.solve_s,
+              pooled.elapsed_s)
         << "time-split buckets are disjoint sections of one wall clock";
 
-    // The workers did record their per-lane spans.
-    bool saw_lane_span = false;
+    // Every trial of both runs recorded its span.
+    std::size_t trial_spans = 0;
     for (const obs::TraceEvent& e : obs::trace_snapshot()) {
-        if (e.name == "factor.lane") {
-            saw_lane_span = true;
-            break;
+        if (e.name == "trial") {
+            ++trial_spans;
         }
     }
-    EXPECT_TRUE(saw_lane_span)
-        << "lane-parallel refactors should appear as trace spans";
-}
-
-TEST(ObsReport, BatchedLanesStaySerialByDefault) {
-    // MonteCarloSpec::threads defaults to 0; for the batched driver that
-    // must not start an all-cores lane pool (a service already runs jobs
-    // side by side).  Without a pool no "factor.lane" span is recorded.
-    const TelemetryOff off;
-    obs::start_trace();
-
-    const MonteCarloSpec spec = batched_mesh_mc();
-    ASSERT_EQ(spec.threads, 0);
-    const AnalysisResult result = noisy_rtd_mesh().run(spec);
-    obs::stop_trace();
-
-    EXPECT_GT(result.report.batched_solves, 0u);
-    EXPECT_GT(result.report.fast_refactors, 0u);
-    for (const obs::TraceEvent& e : obs::trace_snapshot()) {
-        EXPECT_NE(e.name, "factor.lane") << "default run started a lane pool";
-    }
+    EXPECT_EQ(trial_spans, 16u);
 }
 
 // ---- NANOSIM_LOG ------------------------------------------------------

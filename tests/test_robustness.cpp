@@ -2,10 +2,11 @@
 // failure-rescue ladder's end-to-end contracts: every engine survives a
 // structurally singular matrix and a NaN-producing device with a
 // diagnosed SimError or a rescued result (never UB or a hang), the
-// Monte-Carlo drivers quarantine injected trial failures identically,
-// checkpoints resume bit-identically (including through the wire
-// encoding), and the service isolates worker faults into exactly one
-// `failed` terminal event while the daemon keeps serving.
+// Monte-Carlo driver quarantines injected trial failures identically at
+// any worker count, checkpoints resume bit-identically (including
+// through the wire encoding), and the service isolates worker faults
+// into exactly one `failed` terminal event while the daemon keeps
+// serving.
 //
 // Fail points are process-global: every test that arms one goes through
 // the ArmedScope RAII guard so a failing assertion cannot leak an armed
@@ -31,14 +32,13 @@
 #include "devices/sources.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
-#include "engines/mc_batch.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/observer.hpp"
-#include "engines/parallel.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
 #include "mna/mna.hpp"
+#include "mc_golden.hpp"
 #include "mna/system_cache.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
@@ -316,48 +316,42 @@ void expect_identical_mc(const engines::McResult& a,
     EXPECT_EQ(a.flops.total(), b.flops.total());
 }
 
-TEST(McQuarantine, AllThreeDriversQuarantineTheSameTrials) {
+/// One campaign through a fresh caller cache on `workers` workers.
+engines::McResult run_mc(const mna::MnaAssembler& assembler,
+                         const engines::McOptions& mc, NodeId node,
+                         int workers, std::uint64_t seed = 1,
+                         const engines::AnalysisObserver* observer = nullptr) {
+    stochastic::Rng rng(seed);
+    mna::SystemCache cache(assembler);
+    return engines::run_monte_carlo(assembler, mc, rng, node, observer,
+                                    &cache, runtime::ExecutionPolicy{workers});
+}
+
+TEST(McQuarantine, EveryWorkerCountQuarantinesTheSameTrials) {
     const Circuit ckt = noisy_inverter();
     const mna::MnaAssembler assembler(ckt);
     const NodeId out = ckt.find_node("out");
     const engines::McOptions mc = small_mc(7);
 
-    const auto serial = [&] {
+    const auto quarantined = [&](int workers) {
         const ArmedScope armed("mc.trial_fail=1in3");
-        stochastic::Rng rng(1);
-        mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo(assembler, mc, rng, out, nullptr,
-                                        &cache);
-    }();
+        return run_mc(assembler, mc, out, workers);
+    };
+    const engines::McResult serial = quarantined(1);
     ASSERT_FALSE(serial.failed_trials.empty());
     EXPECT_EQ(serial.trial_steps.size() + serial.failed_trials.size(),
               static_cast<std::size_t>(mc.runs));
     for (const auto& f : serial.failed_trials) {
         EXPECT_NE(f.diagnostic.find("mc.trial_fail"), std::string::npos);
     }
+    mc_golden::expect_golden(serial, mc_golden::k_quarantine,
+                             "quarantine, 1 worker");
 
-    const auto batched = [&] {
-        const ArmedScope armed("mc.trial_fail=1in3");
-        stochastic::Rng rng(1);
-        mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo_batched(assembler, mc, rng, out, 3,
-                                                nullptr, &cache);
-    }();
-    expect_identical_mc(serial, batched);
-
-    const auto parallel = [&] {
-        const ArmedScope armed("mc.trial_fail=1in3");
-        runtime::ExecutionPolicy policy;
-        policy.threads = 2;
-        return engines::run_monte_carlo_parallel(assembler, mc, 1, out,
-                                                 policy);
-    }();
-    EXPECT_EQ(serial.mean.value(), parallel.mean.value());
-    EXPECT_EQ(serial.stddev.value(), parallel.stddev.value());
-    ASSERT_EQ(serial.failed_trials.size(), parallel.failed_trials.size());
-    for (std::size_t i = 0; i < serial.failed_trials.size(); ++i) {
-        EXPECT_EQ(serial.failed_trials[i].trial,
-                  parallel.failed_trials[i].trial);
+    for (const int workers : {2, 4}) {
+        const engines::McResult pooled = quarantined(workers);
+        expect_identical_mc(serial, pooled);
+        mc_golden::expect_golden(pooled, mc_golden::k_quarantine,
+                                 "quarantine, 2/4 workers");
     }
 }
 
@@ -368,29 +362,33 @@ TEST(McCheckpoint, ResumeReproducesUninterruptedRunBitIdentically) {
     engines::McOptions mc = small_mc(6);
 
     // Uninterrupted reference.
-    const auto full = [&] {
-        stochastic::Rng rng(1);
-        mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo(assembler, mc, rng, out, nullptr,
-                                        &cache);
-    }();
+    const engines::McResult full = run_mc(assembler, mc, out, 1);
+    mc_golden::expect_golden(full, mc_golden::k_checkpoint,
+                             "checkpoint campaign, 1 worker");
 
-    // Checkpointed run: capture the snapshot after 4 trials.
+    // Checkpointed runs: capture the snapshots every 2 trials.  They do
+    // not depend on the worker count.
     mc.checkpoint_every = 2;
-    std::vector<engines::McCheckpoint> checkpoints;
-    engines::AnalysisObserver observer;
-    observer.on_checkpoint = [&](const engines::McCheckpoint& cp) {
-        checkpoints.push_back(cp);
+    const auto checkpoints_at = [&](int workers) {
+        std::vector<engines::McCheckpoint> checkpoints;
+        engines::AnalysisObserver observer;
+        observer.on_checkpoint = [&](const engines::McCheckpoint& cp) {
+            checkpoints.push_back(cp);
+        };
+        (void)run_mc(assembler, mc, out, workers, 1, &observer);
+        return checkpoints;
     };
-    {
-        stochastic::Rng rng(1);
-        mna::SystemCache cache(assembler);
-        (void)engines::run_monte_carlo(assembler, mc, rng, out, &observer,
-                                       &cache);
-    }
+    const std::vector<engines::McCheckpoint> checkpoints = checkpoints_at(1);
     ASSERT_GE(checkpoints.size(), 2U);
     const engines::McCheckpoint& mid = checkpoints[1];
     ASSERT_EQ(mid.next_trial, 4);
+    const std::vector<engines::McCheckpoint> pooled_checkpoints =
+        checkpoints_at(4);
+    ASSERT_EQ(pooled_checkpoints.size(), checkpoints.size());
+    for (std::size_t i = 0; i < checkpoints.size(); ++i) {
+        EXPECT_EQ(wire::checkpoint_to_json(pooled_checkpoints[i]).dump(),
+                  wire::checkpoint_to_json(checkpoints[i]).dump());
+    }
 
     // Resume through the WIRE ENCODING: the round-tripped checkpoint
     // must carry the exact accumulator state, not an approximation.
@@ -401,23 +399,14 @@ TEST(McCheckpoint, ResumeReproducesUninterruptedRunBitIdentically) {
     engines::McOptions resume_mc = small_mc(6);
     resume_mc.resume =
         std::make_shared<const engines::McCheckpoint>(restored);
-    const auto resumed = [&] {
-        stochastic::Rng rng(99); // seed is pinned by the checkpoint
-        mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo(assembler, resume_mc, rng, out,
-                                        nullptr, &cache);
-    }();
-    expect_identical_mc(full, resumed);
-
-    // Checkpoints are driver-interchangeable: the batched driver resumes
-    // a serial checkpoint to the same bits.
-    const auto resumed_batched = [&] {
-        stochastic::Rng rng(7);
-        mna::SystemCache cache(assembler);
-        return engines::run_monte_carlo_batched(assembler, resume_mc, rng,
-                                                out, 2, nullptr, &cache);
-    }();
-    expect_identical_mc(full, resumed_batched);
+    for (const int workers : {1, 4}) {
+        // The seed is pinned by the checkpoint.
+        const engines::McResult resumed =
+            run_mc(assembler, resume_mc, out, workers, 99);
+        expect_identical_mc(full, resumed);
+        mc_golden::expect_golden(resumed, mc_golden::k_checkpoint,
+                                 "checkpoint campaign, resumed");
+    }
 }
 
 TEST(McCheckpoint, MismatchedCampaignShapeIsRejected) {

@@ -11,6 +11,7 @@
 
 #include "core/ref_circuits.hpp"
 #include "core/simulator.hpp"
+#include "engines/monte_carlo.hpp"
 #include "engines/parallel.hpp"
 #include "runtime/runtime.hpp"
 #include "stochastic/seed_sequence.hpp"
@@ -279,9 +280,10 @@ TEST(ParallelMonteCarlo, RejectsDegenerateGrid) {
     options.runs = 1;
     options.t_stop = 1e-9;
     options.grid_points = 1; // would divide by zero building the grid
-    EXPECT_THROW((void)engines::run_monte_carlo_parallel(
-                     assembler, options, 1, ckt.find_node("n1"),
-                     runtime::ExecutionPolicy{1}),
+    stochastic::Rng rng(1);
+    EXPECT_THROW((void)engines::run_monte_carlo(
+                     assembler, options, rng, ckt.find_node("n1"), nullptr,
+                     nullptr, runtime::ExecutionPolicy{4}),
                  AnalysisError);
 }
 
@@ -293,11 +295,15 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossThreadCounts) {
     options.t_stop = 2e-9;
     options.grid_points = 41;
     const NodeId node = ckt.find_node("n1");
+    const auto run = [&](std::uint64_t seed, int threads) {
+        stochastic::Rng rng(seed);
+        return engines::run_monte_carlo(assembler, options, rng, node,
+                                        nullptr, nullptr,
+                                        runtime::ExecutionPolicy{threads});
+    };
 
-    const auto serial = engines::run_monte_carlo_parallel(
-        assembler, options, 42, node, runtime::ExecutionPolicy{1});
-    const auto wide = engines::run_monte_carlo_parallel(
-        assembler, options, 42, node, runtime::ExecutionPolicy{8});
+    const auto serial = run(42, 1);
+    const auto wide = run(42, 8);
 
     ASSERT_EQ(serial.grid, wide.grid);
     EXPECT_EQ(serial.mean.value(), wide.mean.value());     // bit-identical
@@ -306,8 +312,7 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.flops.total(), wide.flops.total());
 
     // And a different seed actually changes the answer.
-    const auto other = engines::run_monte_carlo_parallel(
-        assembler, options, 43, node, runtime::ExecutionPolicy{8});
+    const auto other = run(43, 8);
     EXPECT_NE(serial.mean.value(), other.mean.value());
 }
 

@@ -151,7 +151,7 @@ TEST(WireSpec, MonteCarloRoundTrip) {
     mc.noise_dt = 2.5e-11;
     mc.grid_points = 101;
     mc.seed = 42;
-    mc.batch = 8;
+    mc.threads = 4;
     mc.probes = {"n1_1", "n2_2"};
     mc.tran.eps = 0.1;
     expect_spec_roundtrip(mc);
@@ -190,6 +190,13 @@ TEST(WireSpec, UnknownKeysAreRejected) {
                      R"({"kind":"tran","t_sop":1e-9})")),
                  ServiceError); // the motivating typo
     EXPECT_THROW(wire::spec_from_json(json::parse(R"({"kind":"nope"})")),
+                 ServiceError);
+    // Retired Monte-Carlo driver knobs: `threads` alone picks the workers.
+    EXPECT_THROW(wire::spec_from_json(json::parse(
+                     R"({"kind":"mc","node":"n1","parallel":true})")),
+                 ServiceError);
+    EXPECT_THROW(wire::spec_from_json(json::parse(
+                     R"({"kind":"mc","node":"n1","batch":8})")),
                  ServiceError);
     EXPECT_THROW(wire::spec_from_json(json::parse(R"({})")), ServiceError);
 }
