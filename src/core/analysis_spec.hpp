@@ -158,8 +158,11 @@ struct EnsembleSpec {
     bool start_from_dc = false;
     linalg::Vector initial;
     std::uint64_t seed = 1;
-    bool parallel = false;     ///< see MonteCarloSpec::parallel
-    int threads = 0;           ///< parallel worker count; 0 = all cores
+    /// Path workers, as MonteCarloSpec::threads: 1 (default) runs the
+    /// paths serially, N > 1 on N workers, 0 = all cores.  Path p draws
+    /// from stream p of `seed` at any count, so results are bit-identical
+    /// for any `threads`.
+    int threads = 1;
 };
 
 /// One analysis request.

@@ -10,7 +10,6 @@
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
-#include "engines/parallel.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "obs/metrics.hpp"
@@ -43,6 +42,19 @@ void apply_tolerances(const CommonOptions& common, EngineOptions& options) {
     if (common.reltol > 0.0) {
         options.reltol = common.reltol;
     }
+}
+
+/// The worker policy of an ensemble spec's `threads` (1 = serial, N = N
+/// workers, 0 = all cores).  A negative count is refused here, before
+/// any pool starts — ExecutionPolicy would read it as "all cores".
+[[nodiscard]] runtime::ExecutionPolicy worker_policy(int threads,
+                                                     const std::string& name) {
+    if (threads < 0) {
+        throw AnalysisError("analysis '" + name +
+                            "': threads must be >= 0 (0 = all cores), got " +
+                            std::to_string(threads));
+    }
+    return runtime::ExecutionPolicy{threads};
 }
 
 } // namespace
@@ -559,7 +571,7 @@ SimSession::run_monte_carlo(const MonteCarloSpec& spec,
     stochastic::Rng rng(spec.seed);
     engines::McResult res = engines::run_monte_carlo(
         *assembler_, mc, rng, node, observer, &solver_cache(),
-        runtime::ExecutionPolicy{spec.threads});
+        worker_policy(spec.threads, spec.name));
     out.header.aborted = res.aborted;
     out.payload = std::move(res);
     return out;
@@ -585,18 +597,9 @@ SimSession::run_ensemble(const EnsembleSpec& spec,
     const engines::EmEngine engine(*assembler_, o);
     const NodeId node = circuit_->find_node(spec.node);
 
-    auto serial = [&] {
-        stochastic::Rng rng(spec.seed);
-        return engine.run_ensemble(spec.paths, rng, node, observer);
-    };
-    auto parallel = [&] {
-        runtime::ExecutionPolicy policy;
-        policy.threads = spec.threads;
-        return engines::run_em_ensemble_parallel(engine, spec.paths,
-                                                 spec.seed, node, policy,
-                                                 observer);
-    };
-    engines::EmEnsembleResult res = spec.parallel ? parallel() : serial();
+    engines::EmEnsembleResult res = engine.run_ensemble(
+        spec.paths, spec.seed, node, observer,
+        worker_policy(spec.threads, spec.name));
     out.header.aborted = res.aborted;
     out.payload = std::move(res);
     return out;

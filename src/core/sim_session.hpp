@@ -19,8 +19,8 @@
 //
 // Every run accepts an engines::AnalysisObserver for progress reporting
 // and cooperative cancellation.  run()/run_all()/run_deck() are the
-// single execution path shared by the Simulator facade (a thin shim),
-// the CLI, and the sweep-campaign jobs.
+// single execution path of the library's front door, shared by the CLI,
+// the service and the sweep-campaign jobs.
 #ifndef NANOSIM_CORE_SIM_SESSION_HPP
 #define NANOSIM_CORE_SIM_SESSION_HPP
 
@@ -45,8 +45,8 @@ namespace nanosim {
 /// RAII restore of a named V/I source's stimulus: saves the shared
 /// waveform handle at construction and puts the exact original object
 /// back on destruction — on both success and throw.  This is what makes
-/// SimSession's DC sweeps side-effect free on the circuit (the historic
-/// facade left the source parked at the final sweep value).
+/// SimSession's DC sweeps side-effect free on the circuit (sweeps once
+/// left the source parked at the final sweep value).
 class SourceWaveGuard {
 public:
     /// Throws NetlistError when `source` is not a V or I source.

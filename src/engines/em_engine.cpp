@@ -1,13 +1,19 @@
 #include "engines/em_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <future>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "devices/sources.hpp"
 #include "engines/dc_swec.hpp"
 #include "linalg/lu.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
+#include "stochastic/seed_sequence.hpp"
 #include "util/error.hpp"
 
 namespace nanosim::engines {
@@ -31,6 +37,20 @@ void add_noise_injection(const mna::MnaAssembler& assembler,
         }
     }
 }
+
+/// One path's observed-node samples and flop tally.  Empty values mark
+/// a path skipped after a cancel.
+struct PathSample {
+    std::vector<double> values;
+    FlopCounter flops;
+};
+
+/// Raises the skip flag of queued paths when the fold loop exits, on a
+/// cancel or a throw as well as at the end.
+struct SkipRest {
+    std::atomic<bool>& flag;
+    ~SkipRest() { flag.store(true); }
+};
 
 } // namespace
 
@@ -196,10 +216,10 @@ EmEngine::run_path(std::span<const stochastic::WienerPath> paths) const {
     return result;
 }
 
-EmEnsembleResult EmEngine::run_ensemble(int num_paths, stochastic::Rng& rng,
-                                        NodeId node,
-                                        const AnalysisObserver* observer) const {
-    const FlopScope scope;
+EmEnsembleResult
+EmEngine::run_ensemble(int num_paths, std::uint64_t seed, NodeId node,
+                       const AnalysisObserver* observer,
+                       const runtime::ExecutionPolicy& policy) const {
     if (num_paths < 1) {
         throw AnalysisError("EmEngine::run_ensemble: need >= 1 path");
     }
@@ -219,20 +239,60 @@ EmEnsembleResult EmEngine::run_ensemble(int num_paths, stochastic::Rng& rng,
         out.grid[j] = dt * static_cast<double>(j);
     }
 
+    // Path p: its own stream, the observed node sampled on the grid, and
+    // its own flop tally (run_path scopes one).
+    const stochastic::SeedSequence streams(seed);
     const auto node_idx = static_cast<std::size_t>(node - 1);
-    std::vector<double> samples(steps_ + 1);
+    const auto run_one = [&](int p) {
+        const obs::Span trial_span("trial", "em");
+        stochastic::Rng rng = streams.stream(static_cast<std::uint64_t>(p));
+        const EmPathResult path = run_path(rng);
+        const auto& w = path.node_waves[node_idx];
+        PathSample sample{.values = std::vector<double>(steps_ + 1),
+                          .flops = path.flops};
+        for (std::size_t j = 0; j <= steps_; ++j) {
+            sample.values[j] = w.value_at(j);
+        }
+        return sample;
+    };
+
+    // More than one worker: every path is queued up front and the loop
+    // below waits for each in path order.  One worker: the loop runs each
+    // path inline.
+    const int workers = std::min(policy.resolved(), num_paths);
+    std::atomic<bool> skip_rest{false};
+    std::vector<std::future<PathSample>> queued;
+    std::optional<runtime::ThreadPool> pool;
+    if (workers > 1) {
+        pool.emplace(workers);
+        queued.reserve(static_cast<std::size_t>(num_paths));
+        for (int p = 0; p < num_paths; ++p) {
+            queued.push_back(pool->submit([&, p] {
+                if (skip_rest.load() ||
+                    (observer != nullptr && observer->cancelled())) {
+                    return PathSample{}; // skipped: left out of the prefix
+                }
+                return run_one(p);
+            }));
+        }
+    }
+    // Paths queued behind an abort or a throw are skipped while the pool
+    // drains.
+    const SkipRest skip_on_exit{skip_rest};
+
     for (int p = 0; p < num_paths; ++p) {
         if (observer != nullptr && observer->cancelled()) {
             out.aborted = true;
             break;
         }
-        const obs::Span path_span("trial", "em");
-        const EmPathResult path = run_path(rng);
-        const auto& w = path.node_waves[node_idx];
-        for (std::size_t j = 0; j <= steps_; ++j) {
-            samples[j] = w.value_at(j);
+        const PathSample sample =
+            pool ? queued[static_cast<std::size_t>(p)].get() : run_one(p);
+        if (sample.values.empty()) { // skipped after a cancel
+            out.aborted = true;
+            break;
         }
-        out.stats.add_path(samples);
+        out.stats.add_path(sample.values);
+        out.flops += sample.flops;
         if (observer != nullptr) {
             observer->trial(p + 1, num_paths);
             observer->progress(static_cast<double>(p + 1) / num_paths);
@@ -243,7 +303,6 @@ EmEnsembleResult EmEngine::run_ensemble(int num_paths, stochastic::Rng& rng,
         out.mean.append(out.grid[j], out.stats.at(j).mean());
         out.stddev.append(out.grid[j], out.stats.at(j).stddev());
     }
-    out.flops = scope.counter();
     return out;
 }
 

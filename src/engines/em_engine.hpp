@@ -25,14 +25,21 @@
 //    unconditionally stable and tolerant of singular C.  Offered as the
 //    production default and as the ablation contrast for the stability
 //    study of the explicit scheme.
+//
+// One driver runs every ensemble (EmEngine::run_ensemble).  Path p draws
+// from its own counter-derived stream (stochastic::SeedSequence) and the
+// paths fold into the statistics in path order, so an ensemble's result
+// depends on its seed, never on its worker count.
 #ifndef NANOSIM_ENGINES_EM_ENGINE_HPP
 #define NANOSIM_ENGINES_EM_ENGINE_HPP
 
+#include <cstdint>
 #include <span>
 
 #include "engines/observer.hpp"
 #include "engines/results.hpp"
 #include "mna/mna.hpp"
+#include "runtime/execution_policy.hpp"
 #include "stochastic/rng.hpp"
 #include "stochastic/stats.hpp"
 #include "stochastic/wiener.hpp"
@@ -68,7 +75,7 @@ struct EmEnsembleResult {
     analysis::Waveform stddev;         ///< sqrt(Var[V_node(t)])
     stochastic::EnsembleStats stats;   ///< full per-point + peak stats
     /// True when an AnalysisObserver cancelled the ensemble; statistics
-    /// cover the paths completed before the abort.
+    /// cover the exact path prefix folded before the abort.
     bool aborted = false;
     FlopCounter flops;
 };
@@ -96,11 +103,25 @@ public:
     [[nodiscard]] EmPathResult
     run_path(std::span<const stochastic::WienerPath> paths) const;
 
-    /// Run an ensemble and aggregate the voltage of `node`.  `observer`
-    /// gets per-path trial callbacks and may cancel between paths.
+    /// Run an ensemble of `num_paths` paths and aggregate the voltage of
+    /// `node`; path p draws its Wiener increments from
+    /// SeedSequence(seed).stream(p).
+    ///
+    /// `policy` sets the worker count (default 1; 0 = all cores): one
+    /// worker runs the paths inline, more run them on a pool of
+    /// min(policy.resolved(), num_paths) workers.  Either way the paths
+    /// fold into the statistics and the flop tally in path order on the
+    /// calling thread, so results are bit-identical at any worker count.
+    /// `observer` gets per-path trial/progress callbacks on the calling
+    /// thread, in path order, and may cancel between paths; a cancel
+    /// keeps the exact path prefix folded so far.  With a pool its
+    /// cancel predicate is polled from the workers too and must be
+    /// thread-safe.
     [[nodiscard]] EmEnsembleResult
-    run_ensemble(int num_paths, stochastic::Rng& rng, NodeId node,
-                 const AnalysisObserver* observer = nullptr) const;
+    run_ensemble(int num_paths, std::uint64_t seed, NodeId node,
+                 const AnalysisObserver* observer = nullptr,
+                 const runtime::ExecutionPolicy& policy =
+                     runtime::ExecutionPolicy{1}) const;
 
 private:
     [[nodiscard]] linalg::Vector initial_state() const;

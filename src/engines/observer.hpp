@@ -22,12 +22,10 @@
 //    for transients, trial-based for batch drivers).
 //  * `on_step` fires after every accepted step of a per-step engine;
 //    `on_trial` after every completed trial of a batch driver.
-//  * The serial engines and the Monte-Carlo driver at any worker count
-//    invoke all hooks on the calling thread (a multi-worker Monte-Carlo
-//    campaign also polls `cancel` from its workers).  The parallel EM
-//    ensemble (engines/parallel.hpp) invokes `on_trial` / `on_progress`
-//    from worker threads — hooks passed there must be thread-safe.
-//    `cancel` must always be safe to call concurrently.
+//  * Every engine and driver invokes all hooks on the calling thread,
+//    the Monte-Carlo and Euler-Maruyama ensemble drivers at any worker
+//    count (with more than one worker they also poll `cancel` from their
+//    workers).  `cancel` must always be safe to call concurrently.
 #ifndef NANOSIM_ENGINES_OBSERVER_HPP
 #define NANOSIM_ENGINES_OBSERVER_HPP
 

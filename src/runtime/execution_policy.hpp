@@ -1,11 +1,16 @@
 // Nano-Sim — execution policy for batch/ensemble orchestration.
 //
 // An ExecutionPolicy says how much parallel hardware a driver may use.
-// It is a plain value so every facade can take it by default argument;
+// It is a plain value so every driver can take it by default argument;
 // threads == 0 defers to the machine.  Determinism note: no Nano-Sim
-// parallel driver lets the thread count influence results — RNG streams
-// are derived per job (stochastic::SeedSequence) and reductions happen
-// in job-index order — so the policy is purely a performance knob.
+// driver lets the thread count influence results — the Monte-Carlo
+// driver (engines::run_monte_carlo) keys trial noise by (trial, source),
+// the Euler-Maruyama ensemble driver (EmEngine::run_ensemble) gives path
+// p stream p of stochastic::SeedSequence, sweep campaigns build each job
+// from its grid point, and every reduction happens in job-index order on
+// the calling thread — so the policy is purely a performance knob.
+// resolved() reads any count <= 0 as "all cores"; the session API
+// refuses negative counts before a pool starts.
 #ifndef NANOSIM_RUNTIME_EXECUTION_POLICY_HPP
 #define NANOSIM_RUNTIME_EXECUTION_POLICY_HPP
 

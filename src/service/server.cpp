@@ -328,8 +328,8 @@ struct Server::Impl {
 
     [[nodiscard]] engines::AnalysisObserver
     make_observer(const JobRecordPtr& record, const JobPtr& job) {
-        // Throttle state shared by the hooks; the parallel drivers call
-        // them from worker threads, so it is mutex-guarded.
+        // Throttle state shared by the hooks.  The drivers call them on
+        // the job's thread; the mutex keeps the state safe regardless.
         struct Throttle {
             std::mutex mutex;
             Clock::time_point last_progress{};

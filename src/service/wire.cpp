@@ -441,7 +441,6 @@ Value em_to_json(const EnsembleSpec& s) {
     put(obj, "start_from_dc", s.start_from_dc, d.start_from_dc);
     if (!s.initial.empty()) obj.set("initial", vector_to_json(s.initial));
     put_u64(obj, "seed", s.seed, d.seed);
-    put(obj, "parallel", s.parallel, d.parallel);
     put(obj, "threads", s.threads, d.threads);
     return obj;
 }
@@ -450,7 +449,7 @@ EnsembleSpec em_from_json(const Value& v) {
     check_keys(v,
                {"kind", "name", "common", "node", "t_stop", "dt", "paths",
                 "scheme", "swec_update", "start_from_dc", "initial", "seed",
-                "parallel", "threads"},
+                "threads"},
                "ensemble spec");
     EnsembleSpec s;
     if (const Value* p = v.find("name")) s.name = p->as_string();
@@ -467,7 +466,6 @@ EnsembleSpec em_from_json(const Value& v) {
         s.start_from_dc = p->as_bool();
     if (const Value* p = v.find("initial")) s.initial = vector_from_json(*p);
     if (const Value* p = v.find("seed")) s.seed = u64_from(*p, "seed");
-    if (const Value* p = v.find("parallel")) s.parallel = p->as_bool();
     if (const Value* p = v.find("threads")) s.threads = p->as_int();
     return s;
 }

@@ -9,9 +9,9 @@
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
 #include "engines/dc_swec.hpp"
+#include "engines/em_engine.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/observer.hpp"
-#include "engines/parallel.hpp"
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
@@ -141,9 +141,8 @@ TEST(Cancellation, EmEnsembleStopsBetweenPaths) {
     engines::AnalysisObserver obs;
     obs.on_trial = [&paths](int, int) { ++paths; };
     obs.cancel = [&paths] { return paths >= 3; };
-    stochastic::Rng rng(1);
     const engines::EmEnsembleResult res =
-        engine.run_ensemble(10, rng, 1, &obs);
+        engine.run_ensemble(10, 1, 1, &obs);
     EXPECT_TRUE(res.aborted);
     EXPECT_EQ(res.stats.at(0).count(), 3u);
 }
@@ -169,9 +168,10 @@ TEST(Cancellation, ParallelDriversHonourPreCancelledObserver) {
     em.dt = 2e-11;
     em.scheme = engines::EmScheme::implicit_be;
     const engines::EmEngine engine(assembler, em);
-    const engines::EmEnsembleResult ens = engines::run_em_ensemble_parallel(
-        engine, 4, 1, 1, runtime::ExecutionPolicy{2}, &obs);
+    const engines::EmEnsembleResult ens =
+        engine.run_ensemble(4, 1, 1, &obs, runtime::ExecutionPolicy{2});
     EXPECT_TRUE(ens.aborted);
+    EXPECT_EQ(ens.stats.at(0).count(), 0u);
 }
 
 TEST(Cancellation, SessionFlagsAbortInHeaderAndStopsBatch) {

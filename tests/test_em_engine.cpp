@@ -1,18 +1,28 @@
-// Tests for the Euler-Maruyama engine (paper Sec. 4), the exact OU
-// reference (the "analytic solution" of Fig. 10) and the Monte-Carlo
-// baseline.
+// Tests for the Euler-Maruyama engine (paper Sec. 4) and its ensemble
+// driver (golden hashes at 1/2/4 workers, exact path prefix on cancel,
+// pool size), the exact OU reference (the "analytic solution" of
+// Fig. 10) and the Monte-Carlo baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 #include "core/ref_circuits.hpp"
 #include "devices/passives.hpp"
 #include "devices/sources.hpp"
+#include "em_golden.hpp"
 #include "engines/em_engine.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/ou_exact.hpp"
 #include "linalg/expm.hpp"
 #include "mna/mna.hpp"
+#include "obs/trace.hpp"
+#include "runtime/execution_policy.hpp"
 #include "util/error.hpp"
 
 namespace nanosim {
@@ -91,8 +101,7 @@ TEST(EmEngine, EnsembleMeanAndVarianceMatchOuTheory) {
     Circuit ckt = refckt::noisy_rc(k_r, k_c, k_idc, k_sigma);
     const mna::MnaAssembler assembler(ckt);
     const EmEngine engine(assembler, em_opts(8e-9, 4e-12));
-    stochastic::Rng rng(12);
-    const auto ens = engine.run_ensemble(400, rng, ckt.find_node("n1"));
+    const auto ens = engine.run_ensemble(400, 12, ckt.find_node("n1"));
 
     const double mean_inf = k_idc * k_r; // 1 V
     const double var_inf =
@@ -184,6 +193,138 @@ TEST(EmEngine, StrongConvergenceOrderHalf) {
         << "coarse=" << err_coarse << " mid=" << err_mid;
 }
 
+// ---- the ensemble driver -----------------------------------------------
+
+TEST(EmEnsemble, MatchesGoldenAtOneTwoAndFourWorkers) {
+    const Circuit rc = refckt::noisy_rc();
+    const Circuit rtd = em_golden::rtd_loaded_rc();
+    const mna::MnaAssembler rc_asm(rc);
+    const mna::MnaAssembler rtd_asm(rtd);
+    const EmEngine rc_explicit(
+        rc_asm, em_golden::rc_options(EmScheme::explicit_em));
+    const EmEngine rc_implicit(
+        rc_asm, em_golden::rc_options(EmScheme::implicit_be));
+    const EmEngine rtd_swec(rtd_asm, em_golden::rtd_options());
+    for (const int workers : {1, 2, 4}) {
+        SCOPED_TRACE(workers);
+        const runtime::ExecutionPolicy policy{workers};
+        const auto run = [&](const EmEngine& engine, const Circuit& ckt) {
+            return engine.run_ensemble(em_golden::k_paths, em_golden::k_seed,
+                                       ckt.find_node("n1"), nullptr, policy);
+        };
+        em_golden::expect_golden(run(rc_explicit, rc),
+                                 em_golden::k_rc_explicit, "k_rc_explicit");
+        em_golden::expect_golden(run(rc_implicit, rc),
+                                 em_golden::k_rc_implicit, "k_rc_implicit");
+        em_golden::expect_golden(run(rtd_swec, rtd), em_golden::k_rtd_swec,
+                                 "k_rtd_swec");
+    }
+}
+
+TEST(EmEnsemble, MidRunCancellationKeepsExactPathPrefix) {
+    const Circuit ckt = refckt::noisy_rc();
+    const mna::MnaAssembler assembler(ckt);
+    const EmEngine engine(assembler,
+                          em_opts(1e-9, 2e-11, EmScheme::implicit_be));
+    const NodeId node = ckt.find_node("n1");
+    const std::thread::id caller = std::this_thread::get_id();
+
+    const auto cancelled_after = [&](int workers, int keep) {
+        // Atomic: with a pool the workers poll the cancel predicate.
+        std::atomic<int> paths{0};
+        std::vector<int> seen;
+        bool off_thread = false;
+        engines::AnalysisObserver obs;
+        obs.on_trial = [&](int done, int) {
+            off_thread |= std::this_thread::get_id() != caller;
+            ++paths;
+            seen.push_back(done);
+        };
+        obs.on_progress = [&](double) {
+            off_thread |= std::this_thread::get_id() != caller;
+        };
+        obs.cancel = [&paths, keep] { return paths.load() >= keep; };
+        const auto res = engine.run_ensemble(
+            10, 5, node, &obs, runtime::ExecutionPolicy{workers});
+        // Callbacks arrive on the calling thread, in path order.
+        EXPECT_FALSE(off_thread);
+        EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
+        return res;
+    };
+
+    // The kept prefix is exactly a 3-path ensemble of the same seed.
+    const std::uint64_t want = em_golden::hash(engine.run_ensemble(3, 5, node));
+    for (const int workers : {1, 4}) {
+        SCOPED_TRACE(workers);
+        const auto res = cancelled_after(workers, 3);
+        EXPECT_TRUE(res.aborted);
+        EXPECT_EQ(res.stats.paths(), 3u);
+        EXPECT_EQ(em_golden::hash(res), want);
+    }
+}
+
+/// Threads of this process right now, or -1 without /proc/self/task.
+int live_threads() {
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    if (ec) {
+        return -1;
+    }
+    int n = 0;
+    for (; it != std::filesystem::directory_iterator(); ++it) {
+        ++n;
+    }
+    return n;
+}
+
+TEST(EmEnsemble, PoolNeverOutnumbersThePaths) {
+    const int before = live_threads();
+    if (before < 0) {
+        GTEST_SKIP() << "thread count needs /proc/self/task";
+    }
+    const Circuit ckt = refckt::noisy_rc();
+    const mna::MnaAssembler assembler(ckt);
+    const EmEngine engine(assembler,
+                          em_opts(1e-9, 2e-11, EmScheme::implicit_be));
+    const NodeId node = ckt.find_node("n1");
+    const auto most_threads = [&](int paths) {
+        int most = 0;
+        engines::AnalysisObserver obs;
+        obs.on_trial = [&most](int, int) {
+            most = std::max(most, live_threads());
+        };
+        (void)engine.run_ensemble(paths, 1, node, &obs,
+                                  runtime::ExecutionPolicy{8});
+        return most;
+    };
+    // Eight workers asked for, two paths: at most two workers start.
+    const int two_paths = most_threads(2);
+    EXPECT_GT(two_paths, before);
+    EXPECT_LE(two_paths, before + 2);
+    // One path runs inline: no pool at all.
+    EXPECT_EQ(most_threads(1), before);
+}
+
+TEST(EmEnsemble, RejectsBadNodeBeforeAnyPathStarts) {
+    const Circuit ckt = refckt::noisy_rc();
+    const mna::MnaAssembler assembler(ckt);
+    const EmEngine engine(assembler, em_opts(1e-9, 2e-11));
+    // Every path opens a "trial" span: none may be recorded.
+    obs::start_trace();
+    for (const int workers : {1, 4}) {
+        const runtime::ExecutionPolicy policy{workers};
+        EXPECT_THROW(
+            (void)engine.run_ensemble(4, 1, k_ground, nullptr, policy),
+            AnalysisError);
+        EXPECT_THROW((void)engine.run_ensemble(4, 1, 2, nullptr, policy),
+                     AnalysisError);
+        EXPECT_THROW((void)engine.run_ensemble(0, 1, 1, nullptr, policy),
+                     AnalysisError);
+    }
+    obs::stop_trace();
+    EXPECT_EQ(obs::trace_event_count(), 0u);
+}
+
 TEST(OuExact, ScalarMomentsClosedForm) {
     const auto m = engines::scalar_ou_moments(2.0, 4.0, 0.5, 1.0, 0.7);
     const double e = std::exp(-1.4);
@@ -228,8 +369,7 @@ TEST(OuExact, EmEnsembleConvergesToExactMoments) {
     const auto exact = engines::exact_moments(assembler, 4e-9, 200);
 
     const EmEngine engine(assembler, em_opts(4e-9, 2e-11));
-    stochastic::Rng rng(16);
-    const auto ens = engine.run_ensemble(600, rng, ckt.find_node("n1"));
+    const auto ens = engine.run_ensemble(600, 16, ckt.find_node("n1"));
 
     const double sd_end = std::sqrt(exact.variance.back()[0]);
     EXPECT_NEAR(ens.stats.at(ens.grid.size() - 1).mean(),
@@ -259,8 +399,7 @@ TEST(MonteCarlo, AgreesWithEmOnNoisyRc) {
                                               ckt.find_node("n1"));
 
     const EmEngine engine(assembler, em_opts(5e-9, 25e-12));
-    stochastic::Rng rng2(18);
-    const auto em = engine.run_ensemble(150, rng2, ckt.find_node("n1"));
+    const auto em = engine.run_ensemble(150, 18, ckt.find_node("n1"));
 
     // Mean curves agree within Monte-Carlo error.
     const double sd =

@@ -1,4 +1,4 @@
-// Tests for the AnalysisSpec/SimSession API: facade parity (session
+// Tests for the AnalysisSpec/SimSession API: engine parity (session
 // results are bit-identical to direct engine calls), the persistent
 // solver-cache registry (a second analysis on an unchanged circuit runs
 // ZERO new symbolic factorisations), exception-safe source restore, and
@@ -12,7 +12,6 @@
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
-#include "core/simulator.hpp"
 #include "devices/sources.hpp"
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
@@ -308,21 +307,6 @@ TEST(SessionSweep, GuardRejectsNonSources) {
     EXPECT_THROW(SourceWaveGuard(ckt, "nope"), NetlistError);
 }
 
-TEST(SimulatorFacade, DcSweepNoLongerParksSourceAtFinalValue) {
-    // The historic facade bug: after dc_sweep the source stayed at the
-    // last sweep value.  Through the session layer the original stimulus
-    // (DC 1 V here) survives.
-    Simulator sim = Simulator::from_deck(R"(
-V1 in 0 DC 1
-R1 in out 50
-RTD1 out 0
-)");
-    const auto sweep = sim.dc_sweep("V1", 0.0, 5.0, 0.5);
-    EXPECT_EQ(sweep.values.size(), 11u);
-    EXPECT_DOUBLE_EQ(sim.circuit().get<VSource>("V1").wave().value(0.0),
-                     1.0);
-}
-
 // ---- spec plumbing ---------------------------------------------------
 
 TEST(SessionSpecs, DeckCardsMapOntoSpecs) {
@@ -407,6 +391,38 @@ TEST(SessionSpecs, EnsembleAndMonteCarloRunThroughSession) {
     const AnalysisResult mcr = session.run(mc);
     EXPECT_EQ(mcr.header.kind, AnalysisKind::monte_carlo);
     EXPECT_EQ(mcr.monte_carlo().stats.at(0).count(), 3u);
+}
+
+TEST(SessionSpecs, NegativeThreadsAreRejectedBeforeAnyWorkerStarts) {
+    // ExecutionPolicy reads any count <= 0 as "all cores"; only 0 means
+    // that, so the session refuses a negative count up front.
+    SimSession session(refckt::noisy_rc());
+    int trials = 0;
+    engines::AnalysisObserver obs;
+    obs.on_trial = [&trials](int, int) { ++trials; };
+
+    EnsembleSpec em;
+    em.node = "n1";
+    em.t_stop = 1e-9;
+    em.dt = 2e-11;
+    em.paths = 4;
+    em.threads = -3;
+    EXPECT_THROW((void)session.run(em, &obs), AnalysisError);
+
+    MonteCarloSpec mc;
+    mc.node = "n1";
+    mc.t_stop = 1e-9;
+    mc.runs = 2;
+    mc.grid_points = 11;
+    mc.threads = -1;
+    EXPECT_THROW((void)session.run(mc, &obs), AnalysisError);
+    EXPECT_EQ(trials, 0);
+
+    // Positive counts run as usual.
+    em.threads = 2;
+    EXPECT_EQ(session.run(em, &obs).ensemble().stats.paths(), 4u);
+    mc.threads = 1;
+    EXPECT_EQ(session.run(mc, &obs).monte_carlo().stats.paths(), 2u);
 }
 
 } // namespace

@@ -165,7 +165,6 @@ TEST(WireSpec, EnsembleRoundTrip) {
     em.paths = 64;
     em.scheme = engines::EmScheme::implicit_be;
     em.swec_update = false;
-    em.parallel = true;
     em.threads = 4;
     expect_spec_roundtrip(em);
 }
@@ -191,12 +190,15 @@ TEST(WireSpec, UnknownKeysAreRejected) {
                  ServiceError); // the motivating typo
     EXPECT_THROW(wire::spec_from_json(json::parse(R"({"kind":"nope"})")),
                  ServiceError);
-    // Retired Monte-Carlo driver knobs: `threads` alone picks the workers.
+    // Retired ensemble driver knobs: `threads` alone picks the workers.
     EXPECT_THROW(wire::spec_from_json(json::parse(
                      R"({"kind":"mc","node":"n1","parallel":true})")),
                  ServiceError);
     EXPECT_THROW(wire::spec_from_json(json::parse(
                      R"({"kind":"mc","node":"n1","batch":8})")),
+                 ServiceError);
+    EXPECT_THROW(wire::spec_from_json(json::parse(
+                     R"({"kind":"em","node":"n1","parallel":true})")),
                  ServiceError);
     EXPECT_THROW(wire::spec_from_json(json::parse(R"({})")), ServiceError);
 }
