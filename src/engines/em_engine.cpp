@@ -287,6 +287,11 @@ EmEngine::run_ensemble(int num_paths, std::uint64_t seed, NodeId node,
         }
         const PathSample sample =
             pool ? queued[static_cast<std::size_t>(p)].get() : run_one(p);
+        if (pool) {
+            // A pooled path's flop scope billed its worker thread; bill
+            // the caller, as an inline path's scope does on exit.
+            current_flops() += sample.flops;
+        }
         if (sample.values.empty()) { // skipped after a cancel
             out.aborted = true;
             break;

@@ -111,7 +111,8 @@ public:
     /// worker runs the paths inline, more run them on a pool of
     /// min(policy.resolved(), num_paths) workers.  Either way the paths
     /// fold into the statistics and the flop tally in path order on the
-    /// calling thread, so results are bit-identical at any worker count.
+    /// calling thread, so results are bit-identical at any worker count;
+    /// the calling thread's flop counter is billed the same total too.
     /// `observer` gets per-path trial/progress callbacks on the calling
     /// thread, in path order, and may cancel between paths; a cancel
     /// keeps the exact path prefix folded so far.  With a pool its

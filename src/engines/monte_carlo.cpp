@@ -342,6 +342,11 @@ McResult run_monte_carlo(const mna::MnaAssembler& assembler,
                            : run_trial(assembler, options, noise, k,
                                        trial_fail_injected(), node, out.grid,
                                        observer, cache);
+        if (pool) {
+            // A pooled trial's flop scope billed its worker thread; bill
+            // the caller, as an inline trial's scope does on exit.
+            current_flops() += trial.flops;
+        }
         if (!trial.failure && trial.samples.empty()) { // skipped/cancelled
             out.aborted = true;
             break;

@@ -101,7 +101,8 @@ struct McResult {
 /// pattern and re-runs the symbolic analysis.  More workers run the
 /// trials on a pool: with `cache` each trial gets a fresh SystemCache
 /// (built outside its flop tally, so flops match the shared-cache run),
-/// without it each transient builds its own, as at one worker.  The
+/// without it each transient builds its own, as at one worker.  Either
+/// way every trial's flops are billed to the calling thread's counter.  The
 /// observer's cancel predicate is then polled from the workers too and
 /// must be thread-safe.
 [[nodiscard]] McResult run_monte_carlo(const mna::MnaAssembler& assembler,

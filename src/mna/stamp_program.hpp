@@ -1,6 +1,6 @@
 // Nano-Sim — flattened per-step stamp/evaluation programs.
 //
-// Profiling the SWEC inner loop (BENCH_session.json, 32x32 RTD mesh)
+// Profiling the SWEC inner loop (session batch on a 32x32 RTD mesh)
 // lands in per-device virtual dispatch: every step, every nonlinear
 // device went `Device::swec_conductance` -> `Device::stamp_swec` ->
 // `Stamper::conductance` -> a binary-searched slot lookup, repeated for

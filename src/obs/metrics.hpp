@@ -15,7 +15,7 @@
 //  * All mutation is lock-free (relaxed atomics); only registration and
 //    export take the registry mutex.  Telemetry never feeds back into
 //    simulation results — waveforms are bit-identical with metrics on or
-//    off (gated by bench_obs_overhead and tests/test_obs.cpp).
+//    off (gated by tests/test_obs.cpp).
 //
 // Typical engine wiring:
 //

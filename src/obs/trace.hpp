@@ -12,7 +12,7 @@
 //  * tracing DISABLED (default): Span's constructor is one relaxed
 //    atomic load and a pointer store; the destructor is one branch.  No
 //    clock reads, no allocation, no locks — the no-op object the
-//    bench_obs_overhead gate measures.
+//    disabled-telemetry gate in tests/test_perf_gates.cpp measures.
 //  * tracing ENABLED: two steady_clock reads per span plus one append to
 //    a per-thread buffer (a short uncontended lock; buffers are merged
 //    only at export).  Events beyond the per-thread cap are counted and

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -806,6 +807,10 @@ struct Server::Impl {
             if (fd < 0) {
                 continue;
             }
+            // A reply and the event line right behind it are two small
+            // writes: without NODELAY the second waits on a delayed ACK.
+            const int one = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
             auto conn = std::make_shared<Connection>();
             conn->fd = fd;
             conn->reader =

@@ -10,7 +10,8 @@
 //    predictable branch when nothing is armed, so production runs execute
 //    the exact same numeric code.  Waveforms are bit-identical with the
 //    framework compiled in vs. sites never firing (gated by
-//    bench_robustness).
+//    tests/test_robustness.cpp; the disabled cost by
+//    tests/test_perf_gates.cpp).
 //  * Sites have STABLE ADDRESSES for the life of the process: the
 //    registry never erases an entry, so hot loops resolve a `FailPoint&`
 //    once (static local) and keep the reference.

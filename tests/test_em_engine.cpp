@@ -1,7 +1,7 @@
 // Tests for the Euler-Maruyama engine (paper Sec. 4) and its ensemble
 // driver (golden hashes at 1/2/4 workers, exact path prefix on cancel,
-// pool size), the exact OU reference (the "analytic solution" of
-// Fig. 10) and the Monte-Carlo baseline.
+// pool size, flops billed to the caller), the exact OU reference (the
+// "analytic solution" of Fig. 10) and the Monte-Carlo baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "runtime/execution_policy.hpp"
 #include "util/error.hpp"
+#include "util/flops.hpp"
 
 namespace nanosim {
 namespace {
@@ -218,6 +219,39 @@ TEST(EmEnsemble, MatchesGoldenAtOneTwoAndFourWorkers) {
                                  em_golden::k_rc_implicit, "k_rc_implicit");
         em_golden::expect_golden(run(rtd_swec, rtd), em_golden::k_rtd_swec,
                                  "k_rtd_swec");
+    }
+}
+
+TEST(EnsembleFlops, CallerScopeReadsResultFlopsAtOneAndFourWorkers) {
+    // Pooled paths and trials bill their flop tallies to the calling
+    // thread, exactly once: a caller-side FlopScope around an EM
+    // ensemble or a Monte-Carlo campaign reads the result's flops at any
+    // worker count.
+    const Circuit ckt = refckt::noisy_rc();
+    const mna::MnaAssembler assembler(ckt);
+    const NodeId n1 = ckt.find_node("n1");
+    const EmEngine engine(assembler, em_opts());
+    engines::McOptions mc;
+    mc.runs = 4;
+    mc.t_stop = 1e-9;
+    mc.grid_points = 11;
+    for (const int workers : {1, 4}) {
+        SCOPED_TRACE(workers);
+        const runtime::ExecutionPolicy policy{workers};
+        {
+            const FlopScope caller;
+            const auto em = engine.run_ensemble(8, 7, n1, nullptr, policy);
+            EXPECT_GT(em.flops.total(), 0u);
+            EXPECT_EQ(caller.counter().summary(), em.flops.summary());
+        }
+        {
+            const FlopScope caller;
+            stochastic::Rng rng(3);
+            const auto res = engines::run_monte_carlo(
+                assembler, mc, rng, n1, nullptr, nullptr, policy);
+            EXPECT_GT(res.flops.total(), 0u);
+            EXPECT_EQ(caller.counter().summary(), res.flops.summary());
+        }
     }
 }
 

@@ -1,12 +1,12 @@
 // Tests for the Monte-Carlo driver (engines/monte_carlo.hpp).
 //
 // The contract under test is *bit-identity across worker counts*: one
-// worker runs the trials inline through the caller's solver cache, four
-// run them on a pool with a fresh cache per trial, and both must produce
-// the same grids, per-trial adaptive step sequences, ensemble waveforms,
-// probe blocks and flop totals.  Workloads cover the dense solver path
-// (FET-RTD inverter), the sparse path (32x32 RTD mesh), mid-run
-// cancellation and the shared noise contract.  The inverter and mesh
+// worker runs the trials inline through the caller's solver cache, two
+// or four run them on a pool with a fresh cache per trial, and all must
+// produce the same grids, per-trial adaptive step sequences, ensemble
+// waveforms, probe blocks and flop totals.  Workloads cover the dense
+// solver path (FET-RTD inverter), the sparse path (32x32 RTD mesh),
+// mid-run cancellation and the shared noise contract.  The inverter and mesh
 // campaigns are also pinned to golden hashes (tests/mc_golden.hpp).
 #include <gtest/gtest.h>
 
@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "core/ref_circuits.hpp"
-#include "devices/sources.hpp"
 #include "engines/dc_swec.hpp"
 #include "engines/monte_carlo.hpp"
 #include "engines/observer.hpp"
+#include "gate_workloads.hpp"
 #include "mc_golden.hpp"
 #include "mna/system_cache.hpp"
 #include "stochastic/rng.hpp"
@@ -91,31 +91,10 @@ void expect_identical(const engines::McResult& a, const engines::McResult& b) {
     EXPECT_EQ(a.flops.device_eval, b.flops.device_eval);
 }
 
-/// FET-RTD inverter with a white-noise current on "out" — small system,
-/// dense solver path.
-Circuit noisy_inverter() {
-    Circuit ckt = refckt::fet_rtd_inverter();
-    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, ckt.find_node("out"),
-                                1e-9);
-    return ckt;
-}
+using gate_workloads::noisy_inverter;
+using gate_workloads::noisy_mesh;
 
-/// The bench workload: rows x cols RC mesh with an RTD at every node and
-/// a white-noise current injected at the centre — sparse flat-LU path.
-Circuit noisy_mesh(int n) {
-    refckt::MeshSpec spec;
-    spec.rows = n;
-    spec.cols = n;
-    spec.rtd_stride = 1;
-    Circuit ckt = refckt::rc_mesh(spec);
-    const std::string centre =
-        "n" + std::to_string(n / 2) + "_" + std::to_string(n / 2);
-    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, ckt.find_node(centre),
-                                1e-9);
-    return ckt;
-}
-
-TEST(MonteCarlo, InverterMatchesGoldenAtOneAndFourWorkers) {
+TEST(MonteCarlo, InverterMatchesGoldenAtOneTwoAndFourWorkers) {
     const Circuit ckt = noisy_inverter();
     const mna::MnaAssembler assembler(ckt);
     const NodeId out = ckt.find_node("out");
@@ -136,15 +115,17 @@ TEST(MonteCarlo, InverterMatchesGoldenAtOneAndFourWorkers) {
     mc_golden::expect_golden(serial.res, mc_golden::k_inverter,
                              "inverter, 1 worker");
 
-    const RunOut pooled = run_mc(assembler, mc, out, 4, false);
-    expect_identical(serial.res, pooled.res);
-    EXPECT_EQ(pooled.stats.steps, 0u); // fresh cache per trial instead
-    mc_golden::expect_golden(pooled.res, mc_golden::k_inverter,
-                             "inverter, 4 workers");
+    for (const int workers : {2, 4}) {
+        const RunOut pooled = run_mc(assembler, mc, out, workers, false);
+        expect_identical(serial.res, pooled.res);
+        EXPECT_EQ(pooled.stats.steps, 0u); // fresh cache per trial instead
+        mc_golden::expect_golden(pooled.res, mc_golden::k_inverter,
+                                 "inverter, 2/4 workers");
+    }
 }
 
-TEST(MonteCarlo, MeshMatchesGoldenAtOneAndFourWorkers) {
-    const Circuit ckt = noisy_mesh(32);
+TEST(MonteCarlo, MeshMatchesGoldenAtOneTwoAndFourWorkers) {
+    const Circuit ckt = noisy_mesh(32, 1);
     const mna::MnaAssembler assembler(ckt);
     const NodeId node = ckt.find_node("n16_16");
     engines::McOptions mc;
@@ -160,10 +141,12 @@ TEST(MonteCarlo, MeshMatchesGoldenAtOneAndFourWorkers) {
     mc_golden::expect_golden(serial.res, mc_golden::k_rtd_mesh,
                              "rtd mesh, 1 worker");
 
-    const RunOut pooled = run_mc(assembler, mc, node, 4, true);
-    expect_identical(serial.res, pooled.res);
-    mc_golden::expect_golden(pooled.res, mc_golden::k_rtd_mesh,
-                             "rtd mesh, 4 workers");
+    for (const int workers : {2, 4}) {
+        const RunOut pooled = run_mc(assembler, mc, node, workers, true);
+        expect_identical(serial.res, pooled.res);
+        mc_golden::expect_golden(pooled.res, mc_golden::k_rtd_mesh,
+                                 "rtd mesh, 2/4 workers");
+    }
 }
 
 TEST(MonteCarlo, MidRunCancellationKeepsExactTrialPrefix) {

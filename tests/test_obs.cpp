@@ -3,7 +3,7 @@
 // ordering invariants, Chrome JSON well-formedness — parsed back by a
 // minimal JSON reader), RunReport consistency against the SolverWork
 // counters, and the bit-identity guarantee (telemetry on/off never
-// changes simulation results).
+// changes transient or Monte-Carlo results).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,7 @@
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
-#include "devices/sources.hpp"
+#include "gate_workloads.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -509,11 +509,13 @@ TEST(ObsBitIdentity, TelemetryOnOffIdenticalWaveforms) {
     obs::stop_trace();
     SimSession plain(refckt::rc_mesh(5, 5));
     const AnalysisResult base = plain.run(spec);
+    const engines::McResult base_mc = gate_workloads::run_mesh_mc(6, 6);
 
     obs::set_metrics_enabled(true);
     obs::start_trace();
     SimSession instrumented(refckt::rc_mesh(5, 5));
     const AnalysisResult traced = instrumented.run(spec);
+    const engines::McResult traced_mc = gate_workloads::run_mesh_mc(6, 6);
     obs::stop_trace();
     obs::set_metrics_enabled(false);
 
@@ -529,6 +531,9 @@ TEST(ObsBitIdentity, TelemetryOnOffIdenticalWaveforms) {
             ASSERT_EQ(w0[n].value_at(i), w1[n].value_at(i));
         }
     }
+    EXPECT_EQ(base_mc.trial_steps, traced_mc.trial_steps);
+    EXPECT_EQ(base_mc.mean.value(), traced_mc.mean.value());
+    EXPECT_EQ(base_mc.stddev.value(), traced_mc.stddev.value());
     // The instrumented run actually recorded something.
     EXPECT_GT(obs::trace_event_count(), 0u);
     EXPECT_GT(obs::metrics().histogram("swec.step_size_s", {1.0}).count(),
@@ -599,14 +604,7 @@ TEST(ObsPool, StatsSnapshotTearFreeUnderHammer) {
 /// 12x12 RC mesh with an RTD at every node and one noise source at the
 /// centre.
 SimSession noisy_rtd_mesh() {
-    refckt::MeshSpec mesh;
-    mesh.rows = 12;
-    mesh.cols = 12;
-    mesh.rtd_stride = 1;
-    Circuit ckt = refckt::rc_mesh(mesh);
-    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, ckt.find_node("n6_6"),
-                                1e-9);
-    return SimSession(std::move(ckt));
+    return SimSession(gate_workloads::noisy_mesh(12, 1));
 }
 
 TEST(ObsReport, TimeSplitIsCallerWallClockUnderParallelMonteCarlo) {

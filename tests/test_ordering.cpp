@@ -190,33 +190,36 @@ TEST(Orderings, PredictedFillExactOnTridiagonal) {
 }
 
 TEST(Orderings, ReduceFillOnGrid) {
-    const Triplets a = grid_matrix(16, 16);
-    const CscPattern p = compress(a);
-    const Permutation rcm =
-        linalg::reverse_cuthill_mckee(p.n, p.col_ptr, p.row_idx);
-    const Permutation md =
-        linalg::min_degree_ordering(p.n, p.col_ptr, p.row_idx);
+    for (const int g : {16, 32}) {
+        SCOPED_TRACE(std::to_string(g) + "x" + std::to_string(g) + " grid");
+        const Triplets a = grid_matrix(g, g);
+        const CscPattern p = compress(a);
+        const Permutation rcm =
+            linalg::reverse_cuthill_mckee(p.n, p.col_ptr, p.row_idx);
+        const Permutation md =
+            linalg::min_degree_ordering(p.n, p.col_ptr, p.row_idx);
 
-    const std::size_t fill_nat =
-        linalg::predicted_fill(p.n, p.col_ptr, p.row_idx);
-    const std::size_t fill_rcm =
-        linalg::predicted_fill(p.n, p.col_ptr, p.row_idx, rcm);
-    const std::size_t fill_md =
-        linalg::predicted_fill(p.n, p.col_ptr, p.row_idx, md);
-    EXPECT_LT(std::min(fill_rcm, fill_md), fill_nat)
-        << "no ordering reduces predicted fill on a 16x16 grid";
+        const std::size_t fill_nat =
+            linalg::predicted_fill(p.n, p.col_ptr, p.row_idx);
+        const std::size_t fill_rcm =
+            linalg::predicted_fill(p.n, p.col_ptr, p.row_idx, rcm);
+        const std::size_t fill_md =
+            linalg::predicted_fill(p.n, p.col_ptr, p.row_idx, md);
+        EXPECT_LT(std::min(fill_rcm, fill_md), fill_nat)
+            << "no ordering reduces predicted fill";
 
-    // The prediction must track the ACTUAL factors: the matrix is
-    // diagonally dominant, so partial pivoting keeps the diagonal and
-    // the symbolic count is exact.
-    const SparseLu nat(a);
-    const SparseLu lu_rcm(a, rcm);
-    const SparseLu lu_md(a, md);
-    EXPECT_EQ(nat.nnz_factors(), fill_nat);
-    EXPECT_EQ(lu_rcm.nnz_factors(), fill_rcm);
-    EXPECT_EQ(lu_md.nnz_factors(), fill_md);
-    EXPECT_LT(std::min(lu_rcm.nnz_factors(), lu_md.nnz_factors()),
-              nat.nnz_factors());
+        // The prediction must track the ACTUAL factors: the matrix is
+        // diagonally dominant, so partial pivoting keeps the diagonal and
+        // the symbolic count is exact.
+        const SparseLu nat(a);
+        const SparseLu lu_rcm(a, rcm);
+        const SparseLu lu_md(a, md);
+        EXPECT_EQ(nat.nnz_factors(), fill_nat);
+        EXPECT_EQ(lu_rcm.nnz_factors(), fill_rcm);
+        EXPECT_EQ(lu_md.nnz_factors(), fill_md);
+        EXPECT_LT(std::min(lu_rcm.nnz_factors(), lu_md.nnz_factors()),
+                  nat.nnz_factors());
+    }
 }
 
 // ---- SparseLu with a pre-permutation --------------------------------------

@@ -37,6 +37,7 @@
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
+#include "gate_workloads.hpp"
 #include "mna/mna.hpp"
 #include "mc_golden.hpp"
 #include "mna/system_cache.hpp"
@@ -283,12 +284,7 @@ TEST(EngineRobustness, InjectedSingularPivotIsRescuedMidTransient) {
 
 // ---- Monte-Carlo quarantine + checkpoint/resume -----------------------
 
-Circuit noisy_inverter() {
-    Circuit ckt = refckt::fet_rtd_inverter();
-    ckt.add<NoiseCurrentSource>("NOISE1", k_ground, ckt.find_node("out"),
-                                1e-9);
-    return ckt;
-}
+using gate_workloads::noisy_inverter;
 
 engines::McOptions small_mc(int runs) {
     engines::McOptions mc;
@@ -353,6 +349,21 @@ TEST(McQuarantine, EveryWorkerCountQuarantinesTheSameTrials) {
         mc_golden::expect_golden(pooled, mc_golden::k_quarantine,
                                  "quarantine, 2/4 workers");
     }
+}
+
+TEST(FailPoints, ArmedButNeverFiringLeavesMonteCarloBitIdentical) {
+    failpoints::disarm_all();
+    const engines::McResult off = gate_workloads::run_mesh_mc(6, 6);
+    const engines::McResult armed = [] {
+        // Armed at an unreachable Nth evaluation: the global gate is
+        // open and every site counts its evaluations, but none fires.
+        const ArmedScope armed_scope("mc.trial_fail=1000000000,"
+                                     "linalg.singular_pivot=1000000000");
+        return gate_workloads::run_mesh_mc(6, 6);
+    }();
+    expect_identical_mc(off, armed);
+    EXPECT_TRUE(off.failed_trials.empty());
+    EXPECT_TRUE(armed.failed_trials.empty());
 }
 
 TEST(McCheckpoint, ResumeReproducesUninterruptedRunBitIdentically) {

@@ -7,6 +7,12 @@
 // SimSession::run.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -481,6 +487,45 @@ TEST(ServerLoopback, SubscribeAfterCompletionStillGetsTerminalEvent) {
     const auto event = client.read(); // replayed terminal event
     ASSERT_TRUE(event.has_value());
     EXPECT_EQ(event->at("event").as_string(), "done");
+    server.stop(true);
+    server.wait();
+}
+
+TEST(ServerLoopback, BothEndsDisableNagle) {
+    svc::Server server{svc::ServerOptions{}};
+    server.start();
+    svc::Client client("127.0.0.1", server.port());
+    // After a round trip the server has accepted the connection.
+    ASSERT_TRUE(client.request(json::parse(R"({"op":"ping"})"))
+                    .at("ok")
+                    .as_bool());
+
+    // Both ends are this process's descriptors: the client's peer port
+    // is the server port, and so is the accepted socket's local port.
+    const auto port = [](int fd, bool peer) {
+        sockaddr_in addr{};
+        socklen_t len = sizeof(addr);
+        auto* sa = reinterpret_cast<sockaddr*>(&addr);
+        const int rc =
+            peer ? ::getpeername(fd, sa, &len) : ::getsockname(fd, sa, &len);
+        return rc == 0 && addr.sin_family == AF_INET ? ntohs(addr.sin_port)
+                                                     : -1;
+    };
+    std::vector<std::string> ends;
+    for (int fd = 0; fd < 1024; ++fd) {
+        const bool client_end = port(fd, true) == server.port();
+        const bool server_end =
+            port(fd, false) == server.port() && port(fd, true) > 0;
+        int nodelay = 0;
+        socklen_t len = sizeof(nodelay);
+        if ((client_end || server_end) &&
+            ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len) == 0 &&
+            nodelay != 0) {
+            ends.emplace_back(client_end ? "client" : "server");
+        }
+    }
+    std::sort(ends.begin(), ends.end());
+    EXPECT_EQ(ends, (std::vector<std::string>{"client", "server"}));
     server.stop(true);
     server.wait();
 }

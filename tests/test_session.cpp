@@ -19,6 +19,7 @@
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
+#include "gate_workloads.hpp"
 #include "runtime/params.hpp"
 #include "util/error.hpp"
 
@@ -186,6 +187,25 @@ TEST(SessionParity, DcSweepBitIdenticalAllEngines) {
     }
 }
 
+TEST(SessionParity, BatchMatchesPerCallEnginesTo1e12) {
+    // {op, dc sweep, tran, MC} through one session vs the per-call engine
+    // entry points, where every analysis and every MC trial builds its
+    // own solver cache: the dense path (inverter) and the sparse path
+    // (16x16 mesh) agree to 1e-12.
+    for (const gate_workloads::Batch& batch :
+         {gate_workloads::inverter_batch(), gate_workloads::mesh_batch(16)}) {
+        const gate_workloads::BatchRun session =
+            gate_workloads::run_session_batch(batch, 6);
+        const gate_workloads::BatchRun percall =
+            gate_workloads::run_percall_batch(batch, 6);
+        EXPECT_EQ(session.mc->stats.paths(), 6u);
+        EXPECT_LE(gate_workloads::max_deviation(session, percall,
+                                                batch.tran_stop),
+                  1e-12)
+            << batch.mc_node;
+    }
+}
+
 // ---- persistent cache ------------------------------------------------
 
 TEST(SessionCache, SecondAnalysisRunsZeroNewSymbolicFactorisations) {
@@ -223,10 +243,7 @@ TEST(SessionCache, SecondAnalysisRunsZeroNewSymbolicFactorisations) {
 }
 
 TEST(SessionCache, MonteCarloTrialsShareOneSymbolicAnalysis) {
-    Circuit mesh = refckt::rc_mesh(10, 10);
-    mesh.add<NoiseCurrentSource>("NOISE1", k_ground,
-                                 mesh.find_node("n5_5"), 1e-9);
-    SimSession session(std::move(mesh));
+    SimSession session(gate_workloads::noisy_mesh(10));
 
     MonteCarloSpec mc;
     mc.node = "n5_5";
@@ -242,6 +259,13 @@ TEST(SessionCache, MonteCarloTrialsShareOneSymbolicAnalysis) {
     // And a follow-up analysis still pays nothing.
     const AnalysisResult op = session.run(OpSpec{});
     EXPECT_EQ(op.header.solver.full_factors, 0u);
+
+    // A whole {op, dc sweep, tran, MC} batch on a sparse 16x16 mesh runs
+    // exactly one symbolic factorisation too.
+    EXPECT_EQ(
+        gate_workloads::run_session_batch(gate_workloads::mesh_batch(16), 6)
+            .full_factors,
+        1u);
 }
 
 TEST(SessionCache, RebindAfterParameterTweakKeepsSymbolicAnalysis) {

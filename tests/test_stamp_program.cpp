@@ -32,6 +32,7 @@
 #include "engines/tran_nr.hpp"
 #include "engines/tran_pwl.hpp"
 #include "engines/tran_swec.hpp"
+#include "gate_workloads.hpp"
 #include "linalg/sparse_lu.hpp"
 #include "mna/mna.hpp"
 #include "mna/system_cache.hpp"
@@ -647,28 +648,54 @@ TEST(TabulatedModels, TablesBuiltOncePerMonteCarloBatch) {
         << "a second batch on the same cache must reuse the store";
 }
 
-TEST(TabulatedModels, SessionTabulateFlagDeviatesWithinTolerance) {
-    // CommonOptions::tabulate through the session front door: the
-    // tabulated transient stays within the table tolerance of the exact
-    // run (loose factor for error accumulation over steps).
-    SimSession exact_session(refckt::fet_rtd_inverter());
-    TranSpec spec;
-    spec.t_stop = 100e-9;
-    const auto exact = exact_session.run(spec);
-
-    SimSession tab_session(refckt::fet_rtd_inverter());
-    spec.common.tabulate = true;
-    const auto tab = tab_session.run(spec);
-    EXPECT_GE(tab.header.solver.tables_built, 1u);
-
-    const auto& wa = exact.tran().node(exact_session.circuit(), "out");
-    const auto& wb = tab.tran().node(tab_session.circuit(), "out");
-    const double scale =
-        std::max(std::abs(wa.max_value()), std::abs(wa.min_value()));
-    for (int s = 0; s <= 200; ++s) {
-        const double t = 100e-9 * s / 200.0;
-        EXPECT_NEAR(wb.at(t), wa.at(t), 1e-4 * scale) << t;
+/// Max deviation of `a` from the reference `b` on a uniform 400-sample
+/// grid (the tabulated run may take another step sequence), relative to
+/// each reference waveform's magnitude.
+double relative_deviation(const std::vector<Waveform>& a,
+                          const std::vector<Waveform>& b) {
+    double worst = 0.0;
+    for (std::size_t w = 0; w < a.size() && w < b.size(); ++w) {
+        const double t0 = b[w].t_begin();
+        const double t1 = b[w].t_end();
+        const double scale = std::max(
+            {std::abs(b[w].max_value()), std::abs(b[w].min_value()), 1e-12});
+        for (int s = 0; s <= 400; ++s) {
+            const double t = t0 + (t1 - t0) * s / 400.0;
+            worst = std::max(worst, std::abs(a[w].at(t) - b[w].at(t)) / scale);
+        }
     }
+    return worst;
+}
+
+TEST(TabulatedModels, DeviateAtMost1e6OnInverterAndRtdMesh) {
+    constexpr double k_tol = 1e-6;
+    // SWEC transients through the session's `tabulate` flag, on the dense
+    // inverter and on a 12x12 mesh with an RTD at every node.
+    const auto tran_deviation = [](const auto& make, double t_stop) {
+        TranSpec spec;
+        spec.t_stop = t_stop;
+        const AnalysisResult exact = SimSession(make()).run(spec);
+        spec.common.tabulate = true;
+        const AnalysisResult tab = SimSession(make()).run(spec);
+        EXPECT_GE(tab.header.solver.tables_built, 1u);
+        return relative_deviation(tab.tran().node_waves,
+                                  exact.tran().node_waves);
+    };
+    const auto inverter = [] { return refckt::fet_rtd_inverter(); };
+    const auto mesh = [] { return gate_workloads::noisy_mesh(12, 1); };
+    EXPECT_LE(tran_deviation(inverter, 100e-9), k_tol);
+    EXPECT_LE(tran_deviation(mesh, 20e-9), k_tol);
+
+    // A Monte-Carlo campaign on the same mesh: mean and stddev.
+    const Circuit ckt = mesh();
+    const mna::MnaAssembler assembler(ckt);
+    const NodeId node = ckt.find_node(gate_workloads::centre(12));
+    EXPECT_LE(relative_deviation(
+                  gate_workloads::run_rtd_mesh_mc(assembler, node, 5, true)
+                      .waves,
+                  gate_workloads::run_rtd_mesh_mc(assembler, node, 5, false)
+                      .waves),
+              k_tol);
 }
 
 // ---------------------------------------------------------------------------
