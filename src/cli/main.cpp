@@ -502,7 +502,9 @@ int run_tran(const CliOptions& cli, const TranSpec& spec,
               << res.nr_iterations << " nonlinear iterations, "
               << res.nonconverged_steps << " non-converged, "
               << res.flops.total() << " flops\n";
-    if (res.solver_full_factors + res.solver_fast_refactors > 0) {
+    if (res.solver_full_factors + res.solver_fast_refactors +
+            res.solver_reused_solves >
+        0) {
         std::cout << "  sparse solver: ordering "
                   << res.solver_ordering.name() << ", factor nnz "
                   << res.solver_ordering.factor_nnz << " (predicted "
@@ -510,7 +512,8 @@ int run_tran(const CliOptions& cli, const TranSpec& spec,
                   << " vs natural "
                   << res.solver_ordering.predicted_fill_natural << "), "
                   << res.solver_full_factors << " full / "
-                  << res.solver_fast_refactors << " fast factorisations\n";
+                  << res.solver_fast_refactors << " fast factorisations, "
+                  << res.solver_reused_solves << " reused-LU solves\n";
     }
     print_step_split(result.header);
     maybe_plot(cli, res.node_waves, "transient", "t [s]");

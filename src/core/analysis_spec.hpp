@@ -186,6 +186,11 @@ struct SolverWork {
     std::size_t pivot_fallbacks = 0;
     /// Stamp-pattern misses that forced a re-freeze (exotic devices only).
     std::size_t pattern_rebuilds = 0;
+    /// SWEC steps solved through the run's held LU with iterative
+    /// refinement instead of a refactor.
+    std::size_t reused_solves = 0;
+    /// Refinement correction solves those steps took.
+    std::size_t refinement_sweeps = 0;
     // ---- wall-time attribution of the per-step work (seconds) ----
     // analyze_s: symbolic analysis — pattern freeze, ordering selection,
     // stamp-program compile (previously unattributed, so the printed

@@ -59,33 +59,6 @@ void apply_tolerances(const CommonOptions& common, EngineOptions& options) {
 
 } // namespace
 
-// ---- SourceWaveGuard --------------------------------------------------
-
-SourceWaveGuard::SourceWaveGuard(Circuit& circuit, const std::string& source)
-    : circuit_(&circuit), source_(source) {
-    if (const Device* d = circuit.find(source); d != nullptr) {
-        if (d->kind() == DeviceKind::vsource) {
-            saved_ = circuit.get_mutable<VSource>(source).wave_ptr();
-            is_vsource_ = true;
-            return;
-        }
-        if (d->kind() == DeviceKind::isource) {
-            saved_ = circuit.get_mutable<ISource>(source).wave_ptr();
-            return;
-        }
-    }
-    throw NetlistError("dc sweep: '" + source +
-                       "' is not a V or I source");
-}
-
-SourceWaveGuard::~SourceWaveGuard() {
-    if (is_vsource_) {
-        circuit_->get_mutable<VSource>(source_).set_wave(saved_);
-    } else {
-        circuit_->get_mutable<ISource>(source_).set_wave(saved_);
-    }
-}
-
 // ---- SimSession -------------------------------------------------------
 
 namespace {
@@ -263,6 +236,10 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
             after.pivot_fallbacks - before.pivot_fallbacks;
         result.header.solver.pattern_rebuilds =
             after.pattern_rebuilds - before.pattern_rebuilds;
+        result.header.solver.reused_solves =
+            after.reused_solves - before.reused_solves;
+        result.header.solver.refinement_sweeps =
+            after.refinement_sweeps - before.refinement_sweeps;
         result.header.solver.analyze_s = after.analyze_s - before.analyze_s;
         result.header.solver.eval_s = after.eval_s - before.eval_s;
         result.header.solver.stamp_s = after.stamp_s - before.stamp_s;
@@ -287,6 +264,8 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     report.dense_solves = work.dense_solves;
     report.pivot_fallbacks = work.pivot_fallbacks;
     report.pattern_rebuilds = work.pattern_rebuilds;
+    report.reused_solves = work.reused_solves;
+    report.refinement_sweeps = work.refinement_sweeps;
     report.tables_built = work.tables_built;
     report.analyze_s = work.analyze_s;
     report.eval_s = work.eval_s;

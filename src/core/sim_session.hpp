@@ -35,6 +35,7 @@
 
 #include "core/analysis_spec.hpp"
 #include "engines/observer.hpp"
+#include "engines/sweep_source.hpp"
 #include "mna/mna.hpp"
 #include "mna/system_cache.hpp"
 #include "netlist/parser.hpp"
@@ -42,29 +43,9 @@
 
 namespace nanosim {
 
-/// RAII restore of a named V/I source's stimulus: saves the shared
-/// waveform handle at construction and puts the exact original object
-/// back on destruction — on both success and throw.  This is what makes
-/// SimSession's DC sweeps side-effect free on the circuit (sweeps once
-/// left the source parked at the final sweep value).
-class SourceWaveGuard {
-public:
-    /// Throws NetlistError when `source` is not a V or I source.
-    SourceWaveGuard(Circuit& circuit, const std::string& source);
-    ~SourceWaveGuard();
-
-    SourceWaveGuard(const SourceWaveGuard&) = delete;
-    SourceWaveGuard& operator=(const SourceWaveGuard&) = delete;
-
-    /// The saved original stimulus (for tests).
-    [[nodiscard]] const WaveformPtr& saved() const noexcept { return saved_; }
-
-private:
-    Circuit* circuit_;
-    std::string source_;
-    WaveformPtr saved_;
-    bool is_vsource_ = false;
-};
+/// The DC sweeps' source-restore guard (engines/sweep_source.hpp): it
+/// makes SimSession's sweeps side-effect free on the circuit.
+using engines::SourceWaveGuard;
 
 /// Persistent analysis session over one circuit.
 class SimSession {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "devices/sources.hpp"
 #include "engines/options_common.hpp"
+#include "engines/sweep_source.hpp"
 #include "linalg/vecops.hpp"
 #include "util/error.hpp"
 
@@ -141,24 +141,6 @@ SweepResult dc_sweep_mla(Circuit& circuit,
         throw AnalysisError("dc_sweep_mla: empty sweep");
     }
     SweepResult result;
-    // Reuse the NR sweep's source plumbing by setting DC levels directly.
-    auto set_level = [&](double v) {
-        if (const Device* d = circuit.find(source_name); d != nullptr) {
-            if (d->kind() == DeviceKind::vsource) {
-                circuit.get_mutable<VSource>(source_name)
-                    .set_wave(std::make_shared<DcWave>(v));
-                return;
-            }
-            if (d->kind() == DeviceKind::isource) {
-                circuit.get_mutable<ISource>(source_name)
-                    .set_wave(std::make_shared<DcWave>(v));
-                return;
-            }
-        }
-        throw NetlistError("dc_sweep_mla: '" + source_name +
-                           "' is not a V or I source");
-    };
-
     MlaOptions opt = options;
     const int total = static_cast<int>(values.size());
     for (const double v : values) {
@@ -166,7 +148,7 @@ SweepResult dc_sweep_mla(Circuit& circuit,
             result.aborted = true;
             break;
         }
-        set_level(v);
+        set_source_level(circuit, source_name, v);
         const DcResult point = solve_op_mla(assembler, opt);
         result.values.push_back(v);
         result.solutions.push_back(point.x);
@@ -190,6 +172,7 @@ SweepResult dc_sweep_mla(Circuit& circuit, const std::string& source_name,
     if (values.empty()) {
         throw AnalysisError("dc_sweep_mla: empty sweep");
     }
+    const SourceWaveGuard guard(circuit, source_name);
     const mna::MnaAssembler assembler(circuit);
     return dc_sweep_mla(circuit, assembler, source_name, values, options,
                         observer);

@@ -44,8 +44,10 @@ struct MlaOptions {
                                     double source_scale = 1.0);
 
 /// DC sweep with the MLA, warm-starting each point (the configuration
-/// Table I measures).  `observer` gets per-point trial callbacks and may
-/// cancel between points (partial SweepResult flagged `aborted`).
+/// Table I measures).  The swept source gets its exact original waveform
+/// back (the same WaveformPtr) on return and on throw.  `observer` gets
+/// per-point trial callbacks and may cancel between points (partial
+/// SweepResult flagged `aborted`).
 [[nodiscard]] SweepResult dc_sweep_mla(Circuit& circuit,
                                        const std::string& source_name,
                                        const linalg::Vector& values,
@@ -53,7 +55,8 @@ struct MlaOptions {
                                        const AnalysisObserver* observer = nullptr);
 
 /// DC sweep against a caller-owned assembler built from `circuit` (the
-/// SimSession path; the session's SourceWaveGuard owns the restore).
+/// SimSession path; the caller owns the restore — SourceWaveGuard,
+/// engines/sweep_source.hpp).
 [[nodiscard]] SweepResult dc_sweep_mla(Circuit& circuit,
                                        const mna::MnaAssembler& assembler,
                                        const std::string& source_name,

@@ -4,55 +4,14 @@
 #include <cmath>
 #include <limits>
 
-#include "devices/sources.hpp"
 #include "engines/options_common.hpp"
+#include "engines/sweep_source.hpp"
 #include "linalg/vecops.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
 #include "util/log.hpp"
 
 namespace nanosim::engines {
-
-namespace {
-
-/// Replace a named V/I source's stimulus with a DC level, returning the
-/// previous waveform so the caller can restore it.
-WaveformPtr swap_source_level(Circuit& circuit, const std::string& name,
-                              double level) {
-    if (const Device* d = circuit.find(name); d != nullptr) {
-        if (d->kind() == DeviceKind::vsource) {
-            auto& vs = circuit.get_mutable<VSource>(name);
-            // Remember the previous stimulus as its t=0 DC level — sweeps
-            // only ever replace DC levels, so this restores faithfully.
-            auto prev = std::make_shared<DcWave>(vs.wave().value(0.0));
-            vs.set_wave(std::make_shared<DcWave>(level));
-            return prev;
-        }
-        if (d->kind() == DeviceKind::isource) {
-            auto& is = circuit.get_mutable<ISource>(name);
-            auto prev = std::make_shared<DcWave>(is.wave().value(0.0));
-            is.set_wave(std::make_shared<DcWave>(level));
-            return prev;
-        }
-    }
-    throw NetlistError("dc sweep: '" + name + "' is not a V or I source");
-}
-
-void restore_source(Circuit& circuit, const std::string& name,
-                    WaveformPtr wave) {
-    if (const Device* d = circuit.find(name); d != nullptr) {
-        if (d->kind() == DeviceKind::vsource) {
-            circuit.get_mutable<VSource>(name).set_wave(std::move(wave));
-            return;
-        }
-        if (d->kind() == DeviceKind::isource) {
-            circuit.get_mutable<ISource>(name).set_wave(std::move(wave));
-            return;
-        }
-    }
-}
-
-} // namespace
 
 DcResult solve_op_nr(const mna::MnaAssembler& assembler,
                      const NrOptions& options, double t,
@@ -238,7 +197,7 @@ SweepResult dc_sweep_nr(Circuit& circuit,
             result.aborted = true;
             break;
         }
-        swap_source_level(circuit, source_name, v);
+        set_source_level(circuit, source_name, v);
         const DcResult point = solve_op_nr(assembler, nr);
         result.values.push_back(v);
         result.solutions.push_back(point.x);
@@ -262,19 +221,10 @@ SweepResult dc_sweep_nr(Circuit& circuit, const std::string& source_name,
     if (values.empty()) {
         throw AnalysisError("dc_sweep_nr: empty sweep");
     }
-    WaveformPtr saved = swap_source_level(circuit, source_name,
-                                          values.front());
-    SweepResult result;
-    try {
-        const mna::MnaAssembler assembler(circuit);
-        result = dc_sweep_nr(circuit, assembler, source_name, values,
-                             options, observer);
-    } catch (...) {
-        restore_source(circuit, source_name, std::move(saved));
-        throw;
-    }
-    restore_source(circuit, source_name, std::move(saved));
-    return result;
+    const SourceWaveGuard guard(circuit, source_name);
+    const mna::MnaAssembler assembler(circuit);
+    return dc_sweep_nr(circuit, assembler, source_name, values, options,
+                       observer);
 }
 
 } // namespace nanosim::engines

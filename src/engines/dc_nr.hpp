@@ -52,8 +52,9 @@ solve_op_source_stepping(const mna::MnaAssembler& assembler,
                          const SourceSteppingOptions& options = {});
 
 /// DC sweep: set `source_name` (a VSource or ISource) to each value in
-/// turn and solve with NR, warm-starting from the previous point.
-/// The circuit is mutated (source waveform replaced) and restored after.
+/// turn and solve with NR, warm-starting from the previous point.  The
+/// swept source gets its exact original waveform back (the same
+/// WaveformPtr) on return and on throw.
 /// `observer` gets per-point trial callbacks and may cancel between
 /// points (partial SweepResult flagged `aborted`).
 [[nodiscard]] SweepResult dc_sweep_nr(Circuit& circuit,
@@ -63,7 +64,8 @@ solve_op_source_stepping(const mna::MnaAssembler& assembler,
                                       const AnalysisObserver* observer = nullptr);
 
 /// DC sweep against a caller-owned assembler built from `circuit` (the
-/// SimSession path; the session's SourceWaveGuard owns the restore).
+/// SimSession path; the caller owns the restore — SourceWaveGuard,
+/// engines/sweep_source.hpp).
 [[nodiscard]] SweepResult dc_sweep_nr(Circuit& circuit,
                                       const mna::MnaAssembler& assembler,
                                       const std::string& source_name,

@@ -5,8 +5,8 @@
 #include <limits>
 #include <optional>
 
-#include "devices/sources.hpp"
 #include "engines/options_common.hpp"
+#include "engines/sweep_source.hpp"
 #include "linalg/vecops.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -141,25 +141,8 @@ SweepResult dc_sweep_swec(Circuit& circuit,
     if (values.empty()) {
         throw AnalysisError("dc_sweep_swec: empty sweep");
     }
-    auto set_level = [&](double v) {
-        if (const Device* d = circuit.find(source_name); d != nullptr) {
-            if (d->kind() == DeviceKind::vsource) {
-                circuit.get_mutable<VSource>(source_name)
-                    .set_wave(std::make_shared<DcWave>(v));
-                return;
-            }
-            if (d->kind() == DeviceKind::isource) {
-                circuit.get_mutable<ISource>(source_name)
-                    .set_wave(std::make_shared<DcWave>(v));
-                return;
-            }
-        }
-        throw NetlistError("dc_sweep_swec: '" + source_name +
-                           "' is not a V or I source");
-    };
-
     SweepResult result;
-    set_level(values.front());
+    set_source_level(circuit, source_name, values.front());
     // One cache for the whole sweep: it re-solves the same structure at
     // every point, so the symbolic analysis is paid for exactly once —
     // or zero times when the caller shares an already-frozen one.
@@ -176,7 +159,7 @@ SweepResult dc_sweep_swec(Circuit& circuit,
             break;
         }
         const obs::Span point_span("sweep-point", "engine");
-        set_level(v);
+        set_source_level(circuit, source_name, v);
         const DcResult point = solve_op_swec(assembler, opt, 0.0, 1.0, cache);
         result.values.push_back(v);
         result.solutions.push_back(point.x);
@@ -203,6 +186,7 @@ SweepResult dc_sweep_swec(Circuit& circuit, const std::string& source_name,
     if (values.empty()) {
         throw AnalysisError("dc_sweep_swec: empty sweep");
     }
+    const SourceWaveGuard guard(circuit, source_name);
     // The assembler only caches structure (the swept DC level lives in
     // the source waveform, read per rhs evaluation), so building it once
     // up front is safe for the whole sweep.

@@ -51,7 +51,9 @@ struct SwecDcOptions {
 
 /// DC sweep with SWEC, warm-starting every point from the previous
 /// solution (the configuration of paper Fig. 7 / Table I).  Builds its
-/// own assembler + cache for the circuit.
+/// own assembler + cache for the circuit.  The swept source gets its
+/// exact original waveform back (the same WaveformPtr) on return and on
+/// throw.
 [[nodiscard]] SweepResult dc_sweep_swec(Circuit& circuit,
                                         const std::string& source_name,
                                         const linalg::Vector& values,
@@ -63,8 +65,8 @@ struct SwecDcOptions {
 /// SimSession path: the symbolic LU analysis is shared with every other
 /// analysis on the same stamp pattern.  The swept source's waveform is
 /// replaced per point; the caller owns restoring it (SimSession wraps
-/// this in a SourceWaveGuard).  `observer` gets per-point trial
-/// callbacks and may cancel between points.
+/// this in a SourceWaveGuard, engines/sweep_source.hpp).  `observer`
+/// gets per-point trial callbacks and may cancel between points.
 [[nodiscard]] SweepResult dc_sweep_swec(Circuit& circuit,
                                         const mna::MnaAssembler& assembler,
                                         const std::string& source_name,

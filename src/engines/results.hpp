@@ -111,12 +111,16 @@ struct TranResult {
     /// taken when a step failed to solve; zero on a healthy run.
     obs::RescueCounts rescues;
     FlopCounter flops;
-    /// Cached-solver instrumentation (mna::SystemCache): the accepted-step
-    /// loop should show full_factors == 1 and fast_refactors ~ steps on
-    /// the sparse path (dense_solves ~ steps below the dense threshold).
+    /// Cached-solver instrumentation (mna::SystemCache).  On the sparse
+    /// path SWEC shows full_factors <= 1 and fast_refactors +
+    /// reused_solves ~ steps, most of them reused (refinement_sweeps
+    /// counts their correction solves); NR and PWL refactor every solve.
+    /// dense_solves ~ steps below the dense threshold.
     std::size_t solver_full_factors = 0;
     std::size_t solver_fast_refactors = 0;
     std::size_t solver_dense_solves = 0;
+    std::size_t solver_reused_solves = 0;
+    std::size_t solver_refinement_sweeps = 0;
     /// Ordering chosen by the cached solver (natural on dense path).
     SolverOrderingStats solver_ordering;
 

@@ -123,15 +123,15 @@ void SwecStepper::prepare() {
     // t_n: static part cached, nonlinear/time-varying parts added
     // through the cache's compiled diagonal plan.
     if (options_.adaptive) {
-        std::vector<double> gdiag = static_gdiag_;
-        cache_->swec_gdiag(t_, geq_, gdiag);
+        gdiag_ = static_gdiag_; // same size every step: no allocation
+        cache_->swec_gdiag(t_, geq_, gdiag_);
         // Eq. (12): device bounds from the chords/rates evaluated in
         // step 1 (no model re-evaluation), node RC bounds from the
         // incremental diagonal.
         const double device_bound = cache_->device_step_bound(
             x_, dvdt_, geq_, geq_rate_, options_.eps);
         const double node_bound = swec_node_step_bound(
-            c_node_diag_, gdiag, dvdt_, options_.eps);
+            c_node_diag_, gdiag_, dvdt_, options_.eps);
         bound_src_ = device_bound <= node_bound
                          ? &result_.step_bounds.device
                          : &result_.step_bounds.node;
@@ -185,13 +185,11 @@ void SwecStepper::stamp() {
     // 4. One linear backward-Euler system through the cached pattern:
     // values restamped in place (no triplet rebuild), ready for a
     // pattern-reusing refactor instead of a fresh symbolic analysis.
-    rhs_ = cache_->rhs(t_ + h_, noise_);
-    {
-        // rhs += (C/h) x  via the cached CSR C.
-        linalg::Vector cx = assembler_->c_csr().multiply(x_);
-        for (std::size_t i = 0; i < n_; ++i) {
-            rhs_[i] += cx[i] / h_;
-        }
+    cache_->rhs(t_ + h_, noise_, rhs_);
+    // rhs += (C/h) x  via the cached CSR C.
+    assembler_->c_csr().multiply(x_, cx_);
+    for (std::size_t i = 0; i < n_; ++i) {
+        rhs_[i] += cx_[i] / h_;
     }
     restamp_system();
 }
@@ -215,24 +213,30 @@ bool all_finite(const linalg::Vector& x) noexcept {
 
 } // namespace
 
-linalg::Vector SwecStepper::solve_rescued() {
+void SwecStepper::solve_rescued() {
     bool injected = false;
     if (failpoints::enabled()) {
         static auto& fp = failpoints::site("swec.solve_nan");
         injected = fp.fire();
     }
     try {
-        linalg::Vector x = cache_->solve(rhs_);
-        if (!injected && all_finite(x)) {
-            return x; // healthy path: exactly the plain solve
+        if (lu_from_this_run_) {
+            cache_->solve_reusing(rhs_, x_next_);
+        } else {
+            x_next_ = cache_->solve(rhs_);
+        }
+        if (!injected && all_finite(x_next_)) {
+            lu_from_this_run_ = true;
+            return; // healthy path
         }
     } catch (const SingularMatrixError&) {
         // fall through to the ladder
     }
-    return rescue_ladder();
+    rescue_ladder();
+    lu_from_this_run_ = true;
 }
 
-linalg::Vector SwecStepper::rescue_ladder() {
+void SwecStepper::rescue_ladder() {
     // Re-runs eq. 5 + stamp for the current h_, then solves; the ladder
     // mutates h_ / the diagonal / the rhs between attempts.
     const auto repredict_and_stamp = [this] {
@@ -245,19 +249,14 @@ linalg::Vector SwecStepper::rescue_ladder() {
         }
         stamp();
     };
-    const auto try_solve = [this](linalg::Vector* out) {
+    const auto try_solve = [this] {
         try {
-            linalg::Vector x = cache_->solve(rhs_);
-            if (all_finite(x)) {
-                *out = std::move(x);
-                return true;
-            }
+            x_next_ = cache_->solve(rhs_);
+            return all_finite(x_next_);
         } catch (const SingularMatrixError&) {
         }
         return false;
     };
-
-    linalg::Vector x;
 
     // Rung 1 — dt-backoff: a smaller step both improves (G + C/h)
     // conditioning and shrinks the eq. 5 extrapolation error.
@@ -269,9 +268,9 @@ linalg::Vector SwecStepper::rescue_ladder() {
         final_step_ = false;
         hit_breakpoint_ = false;
         repredict_and_stamp();
-        if (try_solve(&x)) {
+        if (try_solve()) {
             ++result_.rescues.dt_backoff_succeeded;
-            return x;
+            return;
         }
     }
 
@@ -283,9 +282,9 @@ linalg::Vector SwecStepper::rescue_ladder() {
         for (std::size_t row = 0; row < nn_; ++row) {
             cache_->add_node_diag(static_cast<int>(row), gmin);
         }
-        if (try_solve(&x)) {
+        if (try_solve()) {
             ++result_.rescues.gmin_succeeded;
-            return x;
+            return;
         }
     }
 
@@ -303,13 +302,13 @@ linalg::Vector SwecStepper::rescue_ladder() {
         for (std::size_t row = 0; row < nn_; ++row) {
             cache_->add_node_diag(static_cast<int>(row), 1e-3);
         }
-        if (try_solve(&x)) {
+        if (try_solve()) {
             const double inv = 1.0 / alpha;
-            for (double& v : x) {
+            for (double& v : x_next_) {
                 v *= inv;
             }
             ++result_.rescues.source_succeeded;
-            return x;
+            return;
         }
     }
 
@@ -319,8 +318,8 @@ linalg::Vector SwecStepper::rescue_ladder() {
         "stepping all produced singular or non-finite solves)");
 }
 
-void SwecStepper::accept(linalg::Vector x_next,
-                         const AnalysisObserver* observer) {
+void SwecStepper::accept(const AnalysisObserver* observer) {
+    const linalg::Vector& x_next = x_next_;
     // 5. Bookkeeping: eq. (10) a-posteriori error, eq. (9) slope.
     // Excluded: the first two steps (slope history not meaningful from a
     // possibly inconsistent IC) and the two steps following a source
@@ -338,7 +337,7 @@ void SwecStepper::accept(linalg::Vector x_next,
     for (std::size_t i = 0; i < n_; ++i) {
         dvdt_[i] = (x_next[i] - x_[i]) / h_;
     }
-    x_ = std::move(x_next);
+    std::swap(x_, x_next_);
     // Land on t_stop bit-exactly: t + (t_stop - t) may round off.
     t_ = final_step_ ? options_.t_stop : t_ + h_;
     h_prev_ = h_;

@@ -5,12 +5,16 @@
 //   eval()     chord conductances + rates at t_n   (cache->eval_chords)
 //   prepare()  eq. 12 adaptive bound, event clip, eq. 5 predictor
 //   stamp()    rhs assembly + in-place value restamp of the cached system
-//   solve_rescued()  x_next = cache->solve(rhs()) behind the rescue ladder
+//   solve_rescued()  x_next through the cache behind the rescue ladder
 //   accept()   eq. 10 error, eq. 9 slope, waveforms, step control
 //
 // run_tran_swec runs the phases back-to-back per step.  Every phase
 // performs the exact arithmetic of the historical monolithic loop, so
-// the split changes no result bit.
+// the split changes no result bit.  The solve is the one departure from
+// refactor-every-step: after the run's first step it goes through
+// SystemCache::solve_reusing(), whose refined x differs from a fresh
+// factor's by a backward error of at most 1e-12.  Per-step vectors (rhs,
+// C x, node diagonals, the next state) are member scratch.
 #ifndef NANOSIM_ENGINES_SWEC_STEPPER_HPP
 #define NANOSIM_ENGINES_SWEC_STEPPER_HPP
 
@@ -62,18 +66,22 @@ public:
     /// (G + C/h, rhs).
     void stamp();
     [[nodiscard]] const linalg::Vector& rhs() const noexcept { return rhs_; }
-    /// Phase 2.5: solve the stamped system with the
-    /// numerical rescue ladder behind it.  The healthy path is exactly
-    /// `cache->solve(rhs())` plus a finiteness scan — bit-identical
-    /// results.  On a singular or non-finite solve it escalates
-    /// dt-backoff -> gmin stepping -> source stepping (counting each rung
-    /// in the result's RescueCounts) and throws AnalysisError only when
-    /// every rung is exhausted.  Requires stamp() this cycle; on return
-    /// the step may have a smaller h_ than prepare() chose.
-    [[nodiscard]] linalg::Vector solve_rescued();
+    /// Phase 2.5: solve the stamped system into the next state with the
+    /// numerical rescue ladder behind it.  The healthy path is
+    /// `cache->solve(rhs())` on the run's first step and
+    /// `cache->solve_reusing(rhs(), ...)` after it (so no LU factored
+    /// before this run ever answers a step), plus a finiteness scan.  On
+    /// a singular or non-finite solve it escalates dt-backoff -> gmin
+    /// stepping -> source stepping (counting each rung in the result's
+    /// RescueCounts; every rung refactors through plain solve()) and
+    /// throws AnalysisError only when every rung is exhausted.  Requires
+    /// stamp() this cycle; on return the step may have a smaller h_ than
+    /// prepare() chose.
+    void solve_rescued();
     /// Phase 3: accept the solved step — error/slope bookkeeping, state
     /// and waveform update, step-control advance, observer callbacks.
-    void accept(linalg::Vector x_next, const AnalysisObserver* observer);
+    /// Requires solve_rescued() this cycle.
+    void accept(const AnalysisObserver* observer);
 
     [[nodiscard]] double time() const noexcept { return t_; }
     [[nodiscard]] int steps_accepted() const noexcept {
@@ -93,7 +101,7 @@ private:
     /// mutating the step or the rhs).
     void restamp_system();
     /// The slow path of solve_rescued() (see its contract).
-    [[nodiscard]] linalg::Vector rescue_ladder();
+    void rescue_ladder();
 
     const mna::MnaAssembler* assembler_;
     mna::SystemCache* cache_;
@@ -110,11 +118,16 @@ private:
     obs::Histogram* h_hist_ = nullptr;
 
     linalg::Vector x_;
+    linalg::Vector x_next_; ///< solve_rescued() output, swapped into x_
     linalg::Vector dvdt_;
     std::vector<double> geq_;
     std::vector<double> geq_rate_;
     std::vector<double> geq_pred_;
     linalg::Vector rhs_;
+    linalg::Vector cx_;         ///< C x scratch for the rhs
+    std::vector<double> gdiag_; ///< eq. 12 node-diagonal scratch
+    /// The cache holds an LU this run factored (set by the first solve).
+    bool lu_from_this_run_ = false;
     double t_ = 0.0;
     double h_ = 0.0;
     double h_prev_ = 0.0;

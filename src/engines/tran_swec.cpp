@@ -17,9 +17,11 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
     const FlopScope scope;
 
     // Pattern-frozen per-step system: restamp values in place, reuse the
-    // symbolic LU analysis across every accepted step (the SWEC promise —
-    // one cheap numeric refactor + solve per time point).  A caller-owned
-    // cache extends the reuse across whole analyses (SimSession).
+    // symbolic LU analysis across every accepted step, and after the
+    // first step reuse the run's last LU itself (the SWEC promise — one
+    // linear solve per time point, most of them without a refactor).  A
+    // caller-owned cache extends the symbolic reuse across whole analyses
+    // (SimSession); the LU reuse never crosses a run.
     std::optional<mna::SystemCache> local_cache;
     const bool shared_cache = cache != nullptr;
     if (!shared_cache) {
@@ -40,10 +42,12 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
         stepper.eval();
         stepper.prepare();
         stepper.stamp();
-        // solve_rescued == cache->solve(rhs) on the healthy path; on a
-        // singular/non-finite solve it walks the dt-backoff -> gmin ->
+        // The healthy path is one solve through the cache (the run's
+        // first step factors, later ones reuse its LU); a singular or
+        // non-finite solve walks the dt-backoff -> gmin ->
         // source-stepping ladder before giving up.
-        stepper.accept(stepper.solve_rescued(), observer);
+        stepper.solve_rescued();
+        stepper.accept(observer);
     }
 
     TranResult result = stepper.take_result();
@@ -54,6 +58,10 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
         cache->stats().fast_refactors - stats_before.fast_refactors;
     result.solver_dense_solves =
         cache->stats().dense_solves - stats_before.dense_solves;
+    result.solver_reused_solves =
+        cache->stats().reused_solves - stats_before.reused_solves;
+    result.solver_refinement_sweeps =
+        cache->stats().refinement_sweeps - stats_before.refinement_sweeps;
     result.solver_ordering = make_ordering_stats(cache->stats());
     result.flops = scope.counter();
     return result;

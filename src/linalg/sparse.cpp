@@ -81,10 +81,16 @@ CsrMatrix::CsrMatrix(const Triplets& t) : rows_(t.rows()), cols_(t.cols()) {
 }
 
 Vector CsrMatrix::multiply(const Vector& x) const {
+    Vector y;
+    multiply(x, y);
+    return y;
+}
+
+void CsrMatrix::multiply(const Vector& x, Vector& y) const {
     if (x.size() != cols_) {
         throw SimError("CsrMatrix::multiply: vector size mismatch");
     }
-    Vector y(rows_, 0.0);
+    y.resize(rows_);
     for (std::size_t r = 0; r < rows_; ++r) {
         double acc = 0.0;
         for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
@@ -93,7 +99,6 @@ Vector CsrMatrix::multiply(const Vector& x) const {
         y[r] = acc;
     }
     count_fma(nnz());
-    return y;
 }
 
 double CsrMatrix::at(std::size_t row, std::size_t col) const {

@@ -94,6 +94,9 @@ public:
 
     /// y = A * x (flop-counted).
     [[nodiscard]] Vector multiply(const Vector& x) const;
+    /// Allocation-free variant: `y` (resized; must not alias `x`)
+    /// receives the same bits multiply(x) returns.
+    void multiply(const Vector& x, Vector& y) const;
 
     /// Entry lookup (binary search within the row); 0.0 if not stored.
     [[nodiscard]] double at(std::size_t row, std::size_t col) const;

@@ -410,24 +410,26 @@ std::size_t SparseLu::nnz_factors() const noexcept {
 }
 
 Vector SparseLu::solve(const Vector& b) const {
+    Vector x;
+    solve(b, x);
+    return x;
+}
+
+void SparseLu::solve(const Vector& b, Vector& x) const {
     if (b.size() != n_) {
         throw SimError("SparseLu::solve: rhs size mismatch");
     }
     if (!permuted()) {
-        Vector y;
-        solve_internal(b, y);
-        return y;
+        solve_internal(b, x);
+        return;
     }
     // A(q,q) x' = b' with b' = b gathered into permuted space; scatter
     // x' back to original numbering.  Both intermediates reuse member
     // scratch — engines call this every accepted step, so like
-    // refactor() the permuted path allocates nothing beyond the
-    // returned vector (in steady state).
+    // refactor() the permuted path allocates nothing (in steady state).
     perm_.apply(b, perm_b_);
     solve_internal(perm_b_, perm_y_);
-    Vector x(n_);
     perm_.apply_inverse(perm_y_, x);
-    return x;
 }
 
 void SparseLu::solve_internal(const Vector& b, Vector& y) const {

@@ -89,6 +89,9 @@ public:
     /// Solve A x = b (rhs/x in original numbering; any pre-permutation
     /// is applied and undone internally).
     [[nodiscard]] Vector solve(const Vector& b) const;
+    /// Allocation-free variant: `x` (resized; must not alias `b`)
+    /// receives the same bits solve(b) returns.
+    void solve(const Vector& b, Vector& x) const;
 
     // ---- cached symbolic pattern (for slot mapping) ----
     // NOTE: with a pre-permutation these describe the INTERNAL (permuted)

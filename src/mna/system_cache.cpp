@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <new>
 #include <optional>
 #include <utility>
@@ -27,6 +29,19 @@ void maybe_inject_factor_alloc() {
             throw std::bad_alloc();
         }
     }
+}
+
+/// max |v_i|, or +inf when any entry is not finite (std::max would drop
+/// a NaN).
+double inf_norm(std::span<const double> v) noexcept {
+    double norm = 0.0;
+    for (const double e : v) {
+        if (!std::isfinite(e)) {
+            return std::numeric_limits<double>::infinity();
+        }
+        norm = std::max(norm, std::abs(e));
+    }
+    return norm;
 }
 
 /// Accumulate a scope's wall time into one Stats field (the per-step
@@ -490,13 +505,19 @@ void SystemCache::eval_chords(std::span<const double> x,
 
 linalg::Vector
 SystemCache::rhs(double t, const MnaAssembler::NoiseRealization* noise) {
+    linalg::Vector out;
+    rhs(t, noise, out);
+    return out;
+}
+
+void SystemCache::rhs(double t, const MnaAssembler::NoiseRealization* noise,
+                      linalg::Vector& out) {
     const ScopedTimer timer(stats_.stamp_s, "stamp");
     if (program_->rhs_fast()) {
-        linalg::Vector out;
         program_->eval_rhs(t, noise, out);
-        return out;
+        return;
     }
-    return assembler_->rhs(t, noise);
+    out = assembler_->rhs(t, noise);
 }
 
 void SystemCache::restamp_time_varying(double t) {
@@ -587,7 +608,7 @@ void SystemCache::add_entry(std::size_t row, std::size_t col, double value) {
     values_[s] += value;
 }
 
-linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
+void SystemCache::begin_solve() {
     ++stats_.steps;
 
     if (failpoints::enabled()) {
@@ -606,7 +627,80 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
             overflow_.push_back(linalg::Triplet{0, 0, 0.0});
         }
     }
+}
 
+linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
+    begin_solve();
+    linalg::Vector x;
+    factor_and_solve(rhs, x);
+    return x;
+}
+
+void SystemCache::solve_reusing(const linalg::Vector& rhs,
+                                linalg::Vector& x) {
+    begin_solve();
+    // Out-of-pattern stamps are missing from values_, so the residual
+    // could not see them: those steps take the triplet path.
+    if (lu_ && overflow_.empty() && !dense_path() &&
+        refine_through_held_lu(rhs, x)) {
+        ++stats_.reused_solves;
+        return;
+    }
+    factor_and_solve(rhs, x);
+}
+
+void SystemCache::residual(const linalg::Vector& rhs,
+                           const linalg::Vector& x) {
+    std::copy(rhs.begin(), rhs.end(), refine_r_.begin());
+    for (std::size_t c = 0; c < n_; ++c) {
+        const double xc = x[c];
+        for (std::size_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
+            refine_r_[row_idx_[p]] -= values_[p] * xc;
+        }
+    }
+    count_fma(row_idx_.size());
+    current_flops().lu_solve += 2 * row_idx_.size();
+}
+
+bool SystemCache::refine_through_held_lu(const linalg::Vector& rhs,
+                                         linalg::Vector& x) {
+    const ScopedTimer timer(stats_.solve_s, "solve");
+    lu_->solve(rhs, x); // checks the rhs size
+    refine_r_.resize(n_);
+    row_abs_.assign(n_, 0.0);
+    for (std::size_t c = 0; c < n_; ++c) {
+        for (std::size_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
+            row_abs_[row_idx_[p]] += std::abs(values_[p]);
+        }
+    }
+    const double a_norm = inf_norm(row_abs_);
+    const double b_norm = inf_norm(rhs);
+    for (int sweep = 0;; ++sweep) {
+        residual(rhs, x);
+        const double r_norm = inf_norm(refine_r_);
+        const double x_norm = inf_norm(x);
+        if (std::isinf(r_norm) || std::isinf(x_norm)) {
+            return false; // a non-finite value (a bad b shows in r too)
+        }
+        // Written without the division so that b = 0, x = 0 (an
+        // unexcited circuit) is accepted as the exact solve it is.
+        if (r_norm <= k_reuse_backward_error * (a_norm * x_norm + b_norm)) {
+            return true;
+        }
+        if (sweep == k_max_refinement_sweeps) {
+            return false;
+        }
+        lu_->solve(refine_r_, refine_dx_);
+        for (std::size_t i = 0; i < n_; ++i) {
+            x[i] += refine_dx_[i];
+        }
+        count_add(n_);
+        ++stats_.refinement_sweeps;
+    }
+}
+
+void SystemCache::factor_and_solve(const linalg::Vector& rhs,
+                                   linalg::Vector& x) {
     // Factor-time distribution (metrics on only): registered once, then
     // the cached reference is a couple of relaxed atomics per solve.
     obs::Histogram* factor_hist = nullptr;
@@ -617,7 +711,6 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
     }
 
     if (!overflow_.empty()) {
-        linalg::Vector x;
         std::vector<std::pair<std::size_t, std::size_t>> coords;
         {
             const ScopedTimer timer(stats_.factor_s, "factor", factor_hist);
@@ -649,7 +742,7 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
                 obs::metrics().counter("cache.pattern_rebuilds");
             c.inc();
         }
-        return x;
+        return;
     }
 
     if (dense_path()) {
@@ -670,7 +763,8 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
         }
         ++stats_.dense_solves;
         const ScopedTimer timer(stats_.solve_s, "solve");
-        return lu->solve(rhs);
+        x = lu->solve(rhs);
+        return;
     }
 
     try {
@@ -702,7 +796,7 @@ linalg::Vector SystemCache::solve(const linalg::Vector& rhs) {
     // solve).
     stats_.factor_nnz = lu_->nnz_factors();
     const ScopedTimer timer(stats_.solve_s, "solve");
-    return lu_->solve(rhs);
+    lu_->solve(rhs, x);
 }
 
 } // namespace nanosim::mna

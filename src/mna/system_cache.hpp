@@ -19,6 +19,11 @@
 //  * solve() auto-selects dense LU below `dense_threshold` unknowns and
 //    otherwise factors once, then reuses the symbolic analysis through
 //    SparseLu::refactor() on every later step;
+//  * solve_reusing() skips even that refactor while the held LU still
+//    serves the new values: one or two sweeps of iterative refinement
+//    against the current matrix reach a 1e-12 backward error, and only
+//    a step where they do not pays the refactor (the SWEC stepper's path
+//    after a transient's first step);
 //  * a stamp that misses the frozen pattern (possible only for exotic
 //    devices whose stamp pattern changes at runtime) is not lost: it is
 //    buffered, the step is solved through the legacy triplet path, and
@@ -122,6 +127,28 @@ public:
     /// begin() after all dynamic contributions.
     [[nodiscard]] linalg::Vector solve(const linalg::Vector& rhs);
 
+    /// Largest normwise backward error  ||b - A x|| / (||A|| ||x|| + ||b||)
+    /// (infinity norms) at which solve_reusing() accepts an x solved
+    /// through an LU of an earlier matrix.
+    static constexpr double k_reuse_backward_error = 1e-12;
+    /// Refinement sweeps solve_reusing() takes before it refactors.
+    static constexpr int k_max_refinement_sweeps = 2;
+
+    /// solve() without the refactor when the LU the cache holds still
+    /// serves: solve the current values through that LU, then take up to
+    /// k_max_refinement_sweeps steps of iterative refinement (r = b - A x
+    /// through the frozen pattern and current values, x += LU^-1 r) and
+    /// accept x once its backward error is at most
+    /// k_reuse_backward_error.  Anything else refactors and solves
+    /// exactly as solve() does: the dense path, no LU yet, an
+    /// out-of-pattern stamp this step, a non-finite or unconverged
+    /// refinement.  The fail points fire as in solve().  The held LU may
+    /// come from any earlier solve on this cache, so a caller whose
+    /// results must not depend on what ran before it (a SWEC transient,
+    /// a Monte-Carlo trial) calls solve() first and this only on its
+    /// later steps.  `x` is resized and must not alias `rhs`.
+    void solve_reusing(const linalg::Vector& rhs, linalg::Vector& x);
+
     // ---- engine-facing fast paths ------------------------------------
     // Each method routes through the compiled StampProgram, which the
     // cache builds at every pattern freeze/rebind.  The rhs and gdiag
@@ -143,6 +170,9 @@ public:
     [[nodiscard]] linalg::Vector
     rhs(double t,
         const MnaAssembler::NoiseRealization* noise = nullptr);
+    /// Same bits into `out` (reuses its storage on the compiled plan).
+    void rhs(double t, const MnaAssembler::NoiseRealization* noise,
+             linalg::Vector& out);
 
     /// Restamp all time-varying linear devices at time t.
     void restamp_time_varying(double t);
@@ -203,6 +233,13 @@ public:
         std::size_t fast_refactors = 0;   ///< pattern-reusing refactors
         std::size_t dense_solves = 0;     ///< dense-path solves
         std::size_t pattern_rebuilds = 0; ///< overflow-triggered re-freezes
+        /// solve_reusing() calls answered through the held LU (no
+        /// refactor); steps = full_factors + fast_refactors +
+        /// reused_solves + dense_solves + pattern_rebuilds.
+        std::size_t reused_solves = 0;
+        /// Correction solves (x += LU^-1 r) taken by solve_reusing(),
+        /// whether the call was accepted or fell back to a refactor.
+        std::size_t refinement_sweeps = 0;
         /// refactor() detected pivot degradation and fell back to a full
         /// re-pivoting factorisation (a subset of full_factors after the
         /// first one).
@@ -220,8 +257,9 @@ public:
         // eval_s: device-model evaluation (eval_chords); stamp_s: begin()
         // baselines + restamps + gdiag; factor_s: LU factor/refactor
         // (incl. dense build+factor and overflow rebuilds); solve_s:
-        // triangular solves.  NR restamps are fused eval+stamp and land
-        // in stamp_s.
+        // triangular solves, and solve_reusing()'s residuals and
+        // refinement.  NR restamps are fused eval+stamp and land in
+        // stamp_s.
         double analyze_s = 0.0;
         double eval_s = 0.0;
         double stamp_s = 0.0;
@@ -292,6 +330,18 @@ private:
     /// winner in ordering_ / stats_ (no-op on the dense path).
     void choose_ordering();
 
+    /// The head both solve entries share: count the step and fire the
+    /// `linalg.singular_pivot` / `mna.pattern_overflow` fail points.
+    void begin_solve();
+    /// The factor-or-refactor half of solve() (after begin_solve()).
+    void factor_and_solve(const linalg::Vector& rhs, linalg::Vector& x);
+    /// solve_reusing()'s refinement through the held sparse LU; true when
+    /// x met k_reuse_backward_error.
+    [[nodiscard]] bool refine_through_held_lu(const linalg::Vector& rhs,
+                                              linalg::Vector& x);
+    /// refine_r_ := rhs - A x over the frozen pattern and values.
+    void residual(const linalg::Vector& rhs, const linalg::Vector& x);
+
     /// Slot of (row, col) in the CSC pattern, or npos when absent.
     [[nodiscard]] std::size_t slot_of(std::size_t row,
                                       std::size_t col) const noexcept;
@@ -331,6 +381,10 @@ private:
     linalg::Permutation ordering_; // empty = natural
     std::unique_ptr<linalg::SparseLu> lu_;
     linalg::DenseMatrix dense_; // dense-path work matrix
+    // solve_reusing() scratch: residual, correction, |A| row sums.
+    linalg::Vector refine_r_;
+    linalg::Vector refine_dx_;
+    std::vector<double> row_abs_;
     Stats stats_;
 };
 

@@ -70,6 +70,8 @@ std::string RunReport::to_json() const {
        << ",\"dense_solves\":" << dense_solves
        << ",\"pivot_fallbacks\":" << pivot_fallbacks
        << ",\"pattern_rebuilds\":" << pattern_rebuilds
+       << ",\"reused_solves\":" << reused_solves
+       << ",\"refinement_sweeps\":" << refinement_sweeps
        << ",\"tables_built\":" << tables_built << ",\"analyze_s\":";
     append_number(os, analyze_s);
     os << ",\"eval_s\":";
@@ -158,6 +160,8 @@ std::string RunReport::pretty() const {
     os << "solver cache:\n";
     count_line(os, "full factors", full_factors);
     count_line(os, "fast refactors", fast_refactors);
+    count_line(os, "reused solves", reused_solves);
+    count_line(os, "refinement sweeps", refinement_sweeps);
     count_line(os, "dense solves", dense_solves);
     if (pivot_fallbacks > 0) {
         count_line(os, "pivot fallbacks", pivot_fallbacks);
@@ -178,6 +182,8 @@ std::string RunReport::pretty() const {
     time_line(os, "stamp", stamp_s);
     time_line(os, "factor", factor_s);
     time_line(os, "solve", solve_s);
+    time_line(os, "other (no bucket)",
+              elapsed_s - (analyze_s + eval_s + stamp_s + factor_s + solve_s));
 
     if (pool_tasks > 0) {
         os << "thread pool:\n";

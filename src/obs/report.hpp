@@ -107,6 +107,8 @@ struct RunReport {
     std::uint64_t dense_solves = 0;
     std::uint64_t pivot_fallbacks = 0;  ///< refactor() bailed to full LU
     std::uint64_t pattern_rebuilds = 0; ///< stamp-pattern misses
+    std::uint64_t reused_solves = 0;    ///< solves through a held LU
+    std::uint64_t refinement_sweeps = 0; ///< their correction solves
     std::uint64_t tables_built = 0;     ///< chord tables built this run
 
     // ---- wall-time attribution [s] ------------------------------------

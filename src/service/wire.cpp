@@ -868,6 +868,10 @@ Value tran_result_to_json(const engines::TranResult& r) {
             Value(static_cast<double>(r.solver_fast_refactors)));
     obj.set("solver_dense_solves",
             Value(static_cast<double>(r.solver_dense_solves)));
+    obj.set("solver_reused_solves",
+            Value(static_cast<double>(r.solver_reused_solves)));
+    obj.set("solver_refinement_sweeps",
+            Value(static_cast<double>(r.solver_refinement_sweeps)));
     obj.set("solver_ordering", ordering_to_json(r.solver_ordering));
     return obj;
 }
@@ -879,6 +883,7 @@ engines::TranResult tran_result_from_json(const Value& v) {
                 "max_dt_used", "max_local_error", "avg_local_error",
                 "step_bounds", "rescues", "flops", "solver_full_factors",
                 "solver_fast_refactors", "solver_dense_solves",
+                "solver_reused_solves", "solver_refinement_sweeps",
                 "solver_ordering"},
                "transient result");
     engines::TranResult r;
@@ -901,6 +906,10 @@ engines::TranResult tran_result_from_json(const Value& v) {
         static_cast<std::size_t>(v.at("solver_fast_refactors").as_uint());
     r.solver_dense_solves =
         static_cast<std::size_t>(v.at("solver_dense_solves").as_uint());
+    r.solver_reused_solves =
+        static_cast<std::size_t>(v.at("solver_reused_solves").as_uint());
+    r.solver_refinement_sweeps = static_cast<std::size_t>(
+        v.at("solver_refinement_sweeps").as_uint());
     r.solver_ordering = ordering_from_json(v.at("solver_ordering"));
     return r;
 }
@@ -1002,6 +1011,9 @@ Value solver_work_to_json(const SolverWork& w) {
             Value(static_cast<double>(w.pivot_fallbacks)));
     obj.set("pattern_rebuilds",
             Value(static_cast<double>(w.pattern_rebuilds)));
+    obj.set("reused_solves", Value(static_cast<double>(w.reused_solves)));
+    obj.set("refinement_sweeps",
+            Value(static_cast<double>(w.refinement_sweeps)));
     obj.set("analyze_s", Value(w.analyze_s));
     obj.set("eval_s", Value(w.eval_s));
     obj.set("stamp_s", Value(w.stamp_s));
@@ -1014,8 +1026,9 @@ Value solver_work_to_json(const SolverWork& w) {
 SolverWork solver_work_from_json(const Value& v) {
     check_keys(v,
                {"full_factors", "fast_refactors", "dense_solves",
-                "pivot_fallbacks", "pattern_rebuilds", "analyze_s",
-                "eval_s", "stamp_s", "factor_s", "solve_s", "tables_built"},
+                "pivot_fallbacks", "pattern_rebuilds", "reused_solves",
+                "refinement_sweeps", "analyze_s", "eval_s", "stamp_s",
+                "factor_s", "solve_s", "tables_built"},
                "solver work");
     SolverWork w;
     w.full_factors =
@@ -1028,6 +1041,10 @@ SolverWork solver_work_from_json(const Value& v) {
         static_cast<std::size_t>(v.at("pivot_fallbacks").as_uint());
     w.pattern_rebuilds =
         static_cast<std::size_t>(v.at("pattern_rebuilds").as_uint());
+    w.reused_solves =
+        static_cast<std::size_t>(v.at("reused_solves").as_uint());
+    w.refinement_sweeps =
+        static_cast<std::size_t>(v.at("refinement_sweeps").as_uint());
     w.analyze_s = v.at("analyze_s").as_number();
     w.eval_s = v.at("eval_s").as_number();
     w.stamp_s = v.at("stamp_s").as_number();
@@ -1103,6 +1120,9 @@ obs::RunReport report_from_json(const Value& v, const AnalysisHeader& header) {
     r.pivot_fallbacks = u64_from(v.at("pivot_fallbacks"), "pivot_fallbacks");
     r.pattern_rebuilds =
         u64_from(v.at("pattern_rebuilds"), "pattern_rebuilds");
+    r.reused_solves = u64_from(v.at("reused_solves"), "reused_solves");
+    r.refinement_sweeps =
+        u64_from(v.at("refinement_sweeps"), "refinement_sweeps");
     r.tables_built = u64_from(v.at("tables_built"), "tables_built");
     r.analyze_s = v.at("analyze_s").as_number();
     r.eval_s = v.at("eval_s").as_number();

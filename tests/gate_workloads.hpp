@@ -153,12 +153,9 @@ inline BatchRun run_percall_batch(const Batch& b, int mc_runs) {
     const mna::MnaAssembler assembler(circuit);
     BatchRun out;
     out.op = engines::solve_op_swec(assembler);
-    {
-        // The engine leaves the swept source at its last value.
-        const SourceWaveGuard guard(circuit, b.sweep_source);
-        out.sweep = engines::dc_sweep_swec(circuit, b.sweep_source,
-                                           batch_sweep(b).values());
-    }
+    // The engine restores the swept source before the transient.
+    out.sweep = engines::dc_sweep_swec(circuit, b.sweep_source,
+                                       batch_sweep(b).values());
     engines::SwecTranOptions tran;
     tran.t_stop = b.tran_stop;
     out.tran = engines::run_tran_swec(assembler, tran);

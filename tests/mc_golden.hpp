@@ -67,9 +67,12 @@ inline void expect_golden(const engines::McResult& r, std::uint64_t want,
     EXPECT_EQ(got, want) << "golden mismatch, " << line;
 }
 
-// Recorded campaigns (see the test that runs each).
+// Recorded campaigns (see the test that runs each).  k_rtd_mesh was
+// re-recorded when SWEC steps after a trial's first began solving through
+// the trial's held LU with iterative refinement (a sparse-path change;
+// the inverter and the robustness campaigns are dense and did not move).
 inline constexpr std::uint64_t k_inverter = 0x81a397a20ae084a7ULL;
-inline constexpr std::uint64_t k_rtd_mesh = 0x55fdf3685ba10113ULL;
+inline constexpr std::uint64_t k_rtd_mesh = 0x233d882d04064fd3ULL;
 inline constexpr std::uint64_t k_quarantine = 0xf77b798711b3a2dcULL;
 inline constexpr std::uint64_t k_checkpoint = 0xe790d8fade19c62dULL;
 

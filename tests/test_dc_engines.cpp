@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/ref_circuits.hpp"
 #include "devices/diode.hpp"
@@ -13,6 +17,7 @@
 #include "engines/dc_mla.hpp"
 #include "engines/dc_nr.hpp"
 #include "engines/dc_swec.hpp"
+#include "engines/tran_swec.hpp"
 #include "linalg/vecops.hpp"
 #include "mna/mna.hpp"
 #include "util/error.hpp"
@@ -346,6 +351,75 @@ TEST(DcEngines, SweepValidation) {
     EXPECT_THROW((void)engines::dc_sweep_nr(ckt, "NOPE",
                                             linalg::Vector{1.0}),
                  NetlistError);
+}
+
+/// RTD divider driven by a PULSE on V1 (the stimulus a sweep must not
+/// flatten).
+Circuit pulsed_rtd_divider() {
+    Circuit ckt = refckt::rtd_divider();
+    ckt.get_mutable<VSource>("V1").set_wave(std::make_shared<PulseWave>(
+        0.0, 2.0, 5e-9, 1e-9, 1e-9, 10e-9, 30e-9));
+    return ckt;
+}
+
+TEST(DcSweeps, EveryEngineRestoresTheSweptWaveformExactly) {
+    // After a convenience-overload sweep, on return and on throw, V1
+    // holds its original WaveformPtr, so a transient after the sweep is
+    // bit-identical to one on an untouched circuit.
+    engines::SwecTranOptions tran;
+    tran.t_stop = 40e-9;
+    const Circuit untouched = pulsed_rtd_divider();
+    const engines::TranResult want =
+        engines::run_tran_swec(mna::MnaAssembler(untouched), tran);
+
+    using Sweep = std::function<SweepResult(
+        Circuit&, const engines::AnalysisObserver*)>;
+    const linalg::Vector values{0.0, 0.5, 1.0};
+    const std::vector<std::pair<const char*, Sweep>> engines_under_test = {
+        {"swec",
+         [&](Circuit& c, const engines::AnalysisObserver* o) {
+             return engines::dc_sweep_swec(c, "V1", values, {}, o);
+         }},
+        {"nr",
+         [&](Circuit& c, const engines::AnalysisObserver* o) {
+             return engines::dc_sweep_nr(c, "V1", values, {}, o);
+         }},
+        {"mla",
+         [&](Circuit& c, const engines::AnalysisObserver* o) {
+             return engines::dc_sweep_mla(c, "V1", values, {}, o);
+         }},
+    };
+    for (const auto& [name, sweep] : engines_under_test) {
+        Circuit ckt = pulsed_rtd_divider();
+        const Waveform* original = ckt.get<VSource>("V1").wave_ptr().get();
+        EXPECT_EQ(sweep(ckt, nullptr).values.size(), values.size())
+            << name;
+        EXPECT_EQ(ckt.get<VSource>("V1").wave_ptr().get(), original)
+            << name;
+
+        // A throw mid-sweep (from the observer, after the second point)
+        // restores it too.
+        engines::AnalysisObserver throwing;
+        throwing.on_trial = [](int done, int) {
+            if (done == 2) {
+                throw std::runtime_error("stop");
+            }
+        };
+        EXPECT_THROW((void)sweep(ckt, &throwing), std::runtime_error)
+            << name;
+        EXPECT_EQ(ckt.get<VSource>("V1").wave_ptr().get(), original)
+            << name;
+
+        const engines::TranResult got =
+            engines::run_tran_swec(mna::MnaAssembler(ckt), tran);
+        ASSERT_EQ(got.node_waves.size(), want.node_waves.size()) << name;
+        for (std::size_t n = 0; n < want.node_waves.size(); ++n) {
+            EXPECT_EQ(got.node_waves[n].time(), want.node_waves[n].time())
+                << name;
+            EXPECT_EQ(got.node_waves[n].value(), want.node_waves[n].value())
+                << name;
+        }
+    }
 }
 
 TEST(DcEngines, InitialGuessSizeChecked) {

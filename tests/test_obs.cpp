@@ -466,6 +466,8 @@ TEST(ObsReport, MatchesSolverWorkCounters) {
     EXPECT_EQ(rep.dense_solves, result.header.solver.dense_solves);
     EXPECT_EQ(rep.pivot_fallbacks, result.header.solver.pivot_fallbacks);
     EXPECT_EQ(rep.pattern_rebuilds, result.header.solver.pattern_rebuilds);
+    EXPECT_EQ(rep.reused_solves, result.header.solver.reused_solves);
+    EXPECT_EQ(rep.refinement_sweeps, result.header.solver.refinement_sweeps);
     EXPECT_EQ(rep.tables_built, result.header.solver.tables_built);
     EXPECT_EQ(rep.cache_signature, result.header.cache_signature);
     EXPECT_DOUBLE_EQ(rep.eval_s, result.header.solver.eval_s);
@@ -628,7 +630,7 @@ TEST(ObsReport, TimeSplitIsCallerWallClockUnderParallelMonteCarlo) {
     // Default: one worker, every trial through the session cache.
     ASSERT_EQ(spec.threads, 1);
     const obs::RunReport serial = session.run(spec).report;
-    EXPECT_GT(serial.fast_refactors, 0u);
+    EXPECT_GT(serial.fast_refactors + serial.reused_solves, 0u);
     EXPECT_GT(serial.factor_s, 0.0);
     EXPECT_LE(serial.factor_s, serial.elapsed_s);
 
@@ -639,7 +641,9 @@ TEST(ObsReport, TimeSplitIsCallerWallClockUnderParallelMonteCarlo) {
     obs::stop_trace();
     obs::set_metrics_enabled(false);
     EXPECT_EQ(pooled.trials, 8u);
-    EXPECT_EQ(pooled.full_factors + pooled.fast_refactors, 0u);
+    EXPECT_EQ(pooled.full_factors + pooled.fast_refactors +
+                  pooled.reused_solves,
+              0u);
     EXPECT_LE(pooled.analyze_s + pooled.eval_s + pooled.stamp_s +
                   pooled.factor_s + pooled.solve_s,
               pooled.elapsed_s)

@@ -379,7 +379,9 @@ TEST(FactorRefactor, SessionTransientBitIdenticalOnWarmCache) {
     SimSession session(refckt::rc_mesh(12, 12));
     const AnalysisResult cold = session.run(spec);
     ASSERT_FALSE(cold.header.aborted);
-    EXPECT_GT(cold.header.solver.fast_refactors, 0u);
+    EXPECT_GT(cold.header.solver.fast_refactors +
+                  cold.header.solver.reused_solves,
+              0u);
     EXPECT_EQ(cold.header.solver.pivot_fallbacks, 0u);
 
     const AnalysisResult warm = session.run(spec);
@@ -395,6 +397,8 @@ TEST(FactorRefactor, SessionTransientBitIdenticalOnWarmCache) {
               cold.header.solver.full_factors);
     EXPECT_EQ(fresh.header.solver.fast_refactors,
               cold.header.solver.fast_refactors);
+    EXPECT_EQ(fresh.header.solver.reused_solves,
+              cold.header.solver.reused_solves);
 }
 
 TEST(FactorRefactor, SessionPowerGridOpBitIdenticalOnWarmCache) {

@@ -217,13 +217,17 @@ TEST(SessionCache, SecondAnalysisRunsZeroNewSymbolicFactorisations) {
 
     const AnalysisResult first = session.run(tran);
     EXPECT_EQ(first.header.solver.full_factors, 1u);
-    EXPECT_GT(first.header.solver.fast_refactors, 0u);
+    EXPECT_GT(first.header.solver.fast_refactors +
+                  first.header.solver.reused_solves,
+              0u);
 
     // Unchanged circuit: the sweep, the repeat transient and the op all
     // refactor through the frozen pattern — zero new symbolic work.
     const AnalysisResult second = session.run(tran);
     EXPECT_EQ(second.header.solver.full_factors, 0u);
-    EXPECT_GT(second.header.solver.fast_refactors, 0u);
+    EXPECT_GT(second.header.solver.fast_refactors +
+                  second.header.solver.reused_solves,
+              0u);
 
     const AnalysisResult op = session.run(OpSpec{});
     EXPECT_EQ(op.header.solver.full_factors, 0u);
@@ -254,7 +258,9 @@ TEST(SessionCache, MonteCarloTrialsShareOneSymbolicAnalysis) {
     // 5 trials (plus the per-trial DC initial conditions) -> exactly one
     // symbolic factorisation for the whole analysis.
     EXPECT_EQ(result.header.solver.full_factors, 1u);
-    EXPECT_GT(result.header.solver.fast_refactors, 0u);
+    EXPECT_GT(result.header.solver.fast_refactors +
+                  result.header.solver.reused_solves,
+              0u);
 
     // And a follow-up analysis still pays nothing.
     const AnalysisResult op = session.run(OpSpec{});
@@ -284,6 +290,56 @@ TEST(SessionCache, RebindAfterParameterTweakKeepsSymbolicAnalysis) {
     const AnalysisResult second = session.run(OpSpec{});
     EXPECT_EQ(second.header.solver.full_factors, 0u);
     EXPECT_GT(second.header.solver.fast_refactors, 0u);
+}
+
+// ---- history independence -------------------------------------------
+
+TEST(SessionHistory, SwecMeshTransientIgnoresEarlierAnalyses) {
+    // A SWEC transient solves its later steps through the LU its own
+    // first step factored, never through one an earlier analysis left in
+    // the session cache: the same transient on a fresh session and after
+    // an {op, dc sweep, tran, MC} batch must agree bit for bit.
+    const gate_workloads::Batch batch = gate_workloads::mesh_batch(16);
+    TranSpec tran;
+    tran.t_stop = 60e-9; // past the 50 ns pulse edge
+    // From zero state: no DC solve of its own refactors the cache before
+    // the first step, so that step alone keeps the earlier LUs out.
+    tran.start_from_dc = false;
+
+    SimSession fresh(batch.make());
+    const AnalysisResult want = fresh.run(tran);
+    ASSERT_GT(want.header.solver.reused_solves, 0u);
+
+    SimSession used(batch.make());
+    const AnalysisResult op = used.run(OpSpec{});
+    (void)used.run(gate_workloads::batch_sweep(batch));
+    TranSpec other;
+    other.t_stop = batch.tran_stop;
+    other.eps = 0.2;
+    (void)used.run(other);
+    MonteCarloSpec mc;
+    mc.node = batch.mc_node;
+    mc.t_stop = batch.mc_stop;
+    mc.noise_dt = batch.mc_noise_dt;
+    mc.runs = 3;
+    mc.grid_points = 11;
+    mc.tran = gate_workloads::batch_trial(batch, op.dc().x);
+    (void)used.run(mc);
+    const AnalysisResult got = used.run(tran);
+
+    const engines::TranResult& a = want.tran();
+    const engines::TranResult& b = got.tran();
+    EXPECT_EQ(b.steps_accepted, a.steps_accepted);
+    EXPECT_EQ(got.header.solver.reused_solves,
+              want.header.solver.reused_solves);
+    EXPECT_EQ(got.header.solver.refinement_sweeps,
+              want.header.solver.refinement_sweeps);
+    ASSERT_EQ(b.node_waves.size(), a.node_waves.size());
+    for (std::size_t n = 0; n < a.node_waves.size(); ++n) {
+        EXPECT_EQ(b.node_waves[n].time(), a.node_waves[n].time());
+        EXPECT_EQ(b.node_waves[n].value(), a.node_waves[n].value())
+            << a.node_waves[n].label();
+    }
 }
 
 // ---- source restore (RAII guard) -------------------------------------

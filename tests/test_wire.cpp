@@ -263,6 +263,41 @@ TEST(WireResult, TranResultRoundTripsBitIdentically) {
     EXPECT_EQ(wire::result_to_json(back).dump(), encoded.dump());
 }
 
+TEST(WireResult, SparseTranSolverCountersRoundTrip) {
+    // 10x10 mesh: sparse path, so the SWEC steps reuse the held LU; the
+    // horizon runs past the pulse edge (at period / 4), so refinement has
+    // work.
+    refckt::MeshSpec mesh;
+    mesh.rows = 10;
+    mesh.cols = 10;
+    mesh.period = 20e-9;
+    mesh.edge = 1e-9;
+    SimSession session(refckt::rc_mesh(mesh));
+    TranSpec tran;
+    tran.t_stop = 8e-9;
+    const AnalysisResult direct = session.run(tran);
+    ASSERT_GT(direct.header.solver.reused_solves, 0u);
+    ASSERT_GT(direct.header.solver.refinement_sweeps, 0u);
+    ASSERT_GT(direct.tran().solver_reused_solves, 0u);
+    ASSERT_GT(direct.report.reused_solves, 0u);
+
+    const json::Value encoded = wire::result_to_json(direct);
+    const AnalysisResult back =
+        wire::result_from_json(json::parse(encoded.dump()));
+    EXPECT_EQ(back.header.solver.reused_solves,
+              direct.header.solver.reused_solves);
+    EXPECT_EQ(back.header.solver.refinement_sweeps,
+              direct.header.solver.refinement_sweeps);
+    EXPECT_EQ(back.tran().solver_reused_solves,
+              direct.tran().solver_reused_solves);
+    EXPECT_EQ(back.tran().solver_refinement_sweeps,
+              direct.tran().solver_refinement_sweeps);
+    EXPECT_EQ(back.report.reused_solves, direct.report.reused_solves);
+    EXPECT_EQ(back.report.refinement_sweeps,
+              direct.report.refinement_sweeps);
+    EXPECT_EQ(wire::result_to_json(back).dump(), encoded.dump());
+}
+
 TEST(WireResult, OpResultRoundTrips) {
     SimSession session(refckt::rc_mesh(2, 2));
     const AnalysisResult direct = session.run(OpSpec{});
