@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
               << " (predicted " << res.solver_ordering.predicted_fill_chosen
               << ", natural order would be "
               << res.solver_ordering.predicted_fill_natural << ")\n";
-    std::cout << "factorisations: " << res.solver_full_factors
-              << " full, " << res.solver_fast_refactors
-              << " pattern-reusing refactors, " << res.solver_dense_solves
+    std::cout << "factorisations: " << res.solver.full_factors
+              << " full, " << res.solver.fast_refactors
+              << " pattern-reusing refactors, " << res.solver.dense_solves
               << " dense solves\n";
 
     // The far-corner node shows the pulse diffusing across the grid.

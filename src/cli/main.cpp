@@ -502,8 +502,8 @@ int run_tran(const CliOptions& cli, const TranSpec& spec,
               << res.nr_iterations << " nonlinear iterations, "
               << res.nonconverged_steps << " non-converged, "
               << res.flops.total() << " flops\n";
-    if (res.solver_full_factors + res.solver_fast_refactors +
-            res.solver_reused_solves >
+    if (res.solver.full_factors + res.solver.fast_refactors +
+            res.solver.reused_solves >
         0) {
         std::cout << "  sparse solver: ordering "
                   << res.solver_ordering.name() << ", factor nnz "
@@ -511,9 +511,9 @@ int run_tran(const CliOptions& cli, const TranSpec& spec,
                   << res.solver_ordering.predicted_fill_chosen
                   << " vs natural "
                   << res.solver_ordering.predicted_fill_natural << "), "
-                  << res.solver_full_factors << " full / "
-                  << res.solver_fast_refactors << " fast factorisations, "
-                  << res.solver_reused_solves << " reused-LU solves\n";
+                  << res.solver.full_factors << " full / "
+                  << res.solver.fast_refactors << " fast factorisations, "
+                  << res.solver.reused_solves << " reused-LU solves\n";
     }
     print_step_split(result.header);
     maybe_plot(cli, res.node_waves, "transient", "t [s]");

@@ -175,37 +175,9 @@ enum class AnalysisKind { op, dc_sweep, tran, monte_carlo, ensemble };
 [[nodiscard]] const char* analysis_kind_name(AnalysisKind kind) noexcept;
 
 /// Solver-cache work spent inside one analysis (deltas, not lifetime
-/// totals of the session's cache).  full_factors counts symbolic +
-/// pivoting factorisations — the quantity a persistent SimSession cache
-/// drives to zero for repeat analyses on an unchanged circuit.
-struct SolverWork {
-    std::size_t full_factors = 0;
-    std::size_t fast_refactors = 0;
-    std::size_t dense_solves = 0;
-    /// refactor() pivot-degradation fallbacks (subset of full_factors).
-    std::size_t pivot_fallbacks = 0;
-    /// Stamp-pattern misses that forced a re-freeze (exotic devices only).
-    std::size_t pattern_rebuilds = 0;
-    /// SWEC steps solved through the run's held LU with iterative
-    /// refinement instead of a refactor.
-    std::size_t reused_solves = 0;
-    /// Refinement correction solves those steps took.
-    std::size_t refinement_sweeps = 0;
-    // ---- wall-time attribution of the per-step work (seconds) ----
-    // analyze_s: symbolic analysis — pattern freeze, ordering selection,
-    // stamp-program compile (previously unattributed, so the printed
-    // split under-counted the first step); eval_s: device-model
-    // evaluation (chord conductances / rates); stamp_s: in-place
-    // restamps + step-bound diagonals; factor_s: LU factorisations/
-    // refactorisations; solve_s: triangular solves.
-    double analyze_s = 0.0;
-    double eval_s = 0.0;
-    double stamp_s = 0.0;
-    double factor_s = 0.0;
-    double solve_s = 0.0;
-    /// Chord tables built during this run (0 = reused or disabled).
-    std::size_t tables_built = 0;
-};
+/// totals of the session's cache; the record is declared once, in
+/// obs/report.hpp).
+using SolverWork = obs::SolverWork;
 
 /// Uniform result header shared by every analysis kind.
 struct AnalysisHeader {
@@ -214,7 +186,10 @@ struct AnalysisHeader {
     std::string engine;        ///< engine display name
     double elapsed_s = 0.0;    ///< wall-clock time of this run
     bool aborted = false;      ///< observer cancelled mid-run
-    SolverWork solver;         ///< cache work spent in this run
+    /// Session-cache work spent in this run, including the cache's
+    /// construction when the run built it (the payload's `solver` covers
+    /// the engine call only).
+    SolverWork solver;
     std::uint64_t cache_signature = 0; ///< stamp-pattern signature used
 };
 

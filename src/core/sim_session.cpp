@@ -144,8 +144,7 @@ mna::SystemCache& SimSession::solver_cache() {
         pattern_coords_.empty()
             ? std::make_unique<mna::SystemCache>(*assembler_)
             : std::make_unique<mna::SystemCache>(
-                  *assembler_, mna::SystemCache::Options{},
-                  std::move(pattern_coords_), signature_);
+                  *assembler_, std::move(pattern_coords_), signature_);
     pattern_coords_.clear();
     mna::SystemCache& ref = *cache;
     caches_.emplace(signature_, std::move(cache));
@@ -194,7 +193,7 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
             std::visit([](const auto& s) { return s.name; }, spec),
         "session");
     const auto t0 = Clock::now();
-    mna::SystemCache::Stats before{};
+    SolverWork before{};
     if (const auto it = caches_.find(signature_); it != caches_.end()) {
         before = it->second->stats();
     }
@@ -225,28 +224,7 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
         spec);
 
     if (const auto it = caches_.find(signature_); it != caches_.end()) {
-        const mna::SystemCache::Stats& after = it->second->stats();
-        result.header.solver.full_factors =
-            after.full_factors - before.full_factors;
-        result.header.solver.fast_refactors =
-            after.fast_refactors - before.fast_refactors;
-        result.header.solver.dense_solves =
-            after.dense_solves - before.dense_solves;
-        result.header.solver.pivot_fallbacks =
-            after.pivot_fallbacks - before.pivot_fallbacks;
-        result.header.solver.pattern_rebuilds =
-            after.pattern_rebuilds - before.pattern_rebuilds;
-        result.header.solver.reused_solves =
-            after.reused_solves - before.reused_solves;
-        result.header.solver.refinement_sweeps =
-            after.refinement_sweeps - before.refinement_sweeps;
-        result.header.solver.analyze_s = after.analyze_s - before.analyze_s;
-        result.header.solver.eval_s = after.eval_s - before.eval_s;
-        result.header.solver.stamp_s = after.stamp_s - before.stamp_s;
-        result.header.solver.factor_s = after.factor_s - before.factor_s;
-        result.header.solver.solve_s = after.solve_s - before.solve_s;
-        result.header.solver.tables_built =
-            after.tables_built - before.tables_built;
+        result.header.solver = it->second->stats() - before;
     }
     result.header.cache_signature = signature_;
     result.header.elapsed_s = seconds_since(t0);
@@ -258,20 +236,7 @@ AnalysisResult SimSession::run(const AnalysisSpec& spec,
     report.engine = result.header.engine;
     report.elapsed_s = result.header.elapsed_s;
     report.aborted = result.header.aborted;
-    const SolverWork& work = result.header.solver;
-    report.full_factors = work.full_factors;
-    report.fast_refactors = work.fast_refactors;
-    report.dense_solves = work.dense_solves;
-    report.pivot_fallbacks = work.pivot_fallbacks;
-    report.pattern_rebuilds = work.pattern_rebuilds;
-    report.reused_solves = work.reused_solves;
-    report.refinement_sweeps = work.refinement_sweeps;
-    report.tables_built = work.tables_built;
-    report.analyze_s = work.analyze_s;
-    report.eval_s = work.eval_s;
-    report.stamp_s = work.stamp_s;
-    report.factor_s = work.factor_s;
-    report.solve_s = work.solve_s;
+    static_cast<SolverWork&>(report) = result.header.solver;
     report.cache_signature = result.header.cache_signature;
     std::visit(
         [&report](const auto& payload) {

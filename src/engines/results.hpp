@@ -49,12 +49,11 @@ struct DcResult {
     int iterations = 0;          ///< NR iterations (or SWEC pseudo-steps)
     double residual = 0.0;       ///< final update norm
     FlopCounter flops;           ///< work spent in this solve
-    /// Cached-solver instrumentation (mna::SystemCache): full symbolic
-    /// factorisations vs. pattern-reusing refactors vs. dense-path solves
-    /// spent inside this analysis (all zero on non-cached engines).
-    std::size_t solver_full_factors = 0;
-    std::size_t solver_fast_refactors = 0;
-    std::size_t solver_dense_solves = 0;
+    /// Cached-solver work (mna::SystemCache) spent inside this engine
+    /// call: full symbolic factorisations vs. pattern-reusing refactors
+    /// vs. dense-path solves, and the time split (all zero on non-cached
+    /// engines).
+    obs::SolverWork solver;
     /// Ordering chosen by the cached solver (natural on dense path).
     SolverOrderingStats solver_ordering;
     /// Iterate history (filled when options.record_trace is set);
@@ -111,16 +110,13 @@ struct TranResult {
     /// taken when a step failed to solve; zero on a healthy run.
     obs::RescueCounts rescues;
     FlopCounter flops;
-    /// Cached-solver instrumentation (mna::SystemCache).  On the sparse
-    /// path SWEC shows full_factors <= 1 and fast_refactors +
-    /// reused_solves ~ steps, most of them reused (refinement_sweeps
-    /// counts their correction solves); NR and PWL refactor every solve.
-    /// dense_solves ~ steps below the dense threshold.
-    std::size_t solver_full_factors = 0;
-    std::size_t solver_fast_refactors = 0;
-    std::size_t solver_dense_solves = 0;
-    std::size_t solver_reused_solves = 0;
-    std::size_t solver_refinement_sweeps = 0;
+    /// Cached-solver work (mna::SystemCache) spent inside this engine
+    /// call.  On the sparse path SWEC shows full_factors <= 1 and
+    /// fast_refactors + reused_solves ~ steps, most of them reused
+    /// (refinement_sweeps counts their correction solves); NR and PWL
+    /// refactor every solve.  dense_solves ~ steps below the dense
+    /// threshold.
+    obs::SolverWork solver;
     /// Ordering chosen by the cached solver (natural on dense path).
     SolverOrderingStats solver_ordering;
 

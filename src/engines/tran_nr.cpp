@@ -244,7 +244,7 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
         local_cache.emplace(assembler);
         cache = &*local_cache;
     }
-    const mna::SystemCache::Stats stats_before = cache->stats();
+    const obs::SolverWork work_before = cache->stats();
     // Static G compressed once for the trapezoidal (linear-only) rhs.
     const linalg::CsrMatrix static_g_csr(assembler.static_g());
 
@@ -438,12 +438,7 @@ TranResult run_tran_nr(const mna::MnaAssembler& assembler,
         }
     }
 
-    result.solver_full_factors =
-        cache->stats().full_factors - stats_before.full_factors;
-    result.solver_fast_refactors =
-        cache->stats().fast_refactors - stats_before.fast_refactors;
-    result.solver_dense_solves =
-        cache->stats().dense_solves - stats_before.dense_solves;
+    result.solver = cache->stats() - work_before;
     result.solver_ordering = make_ordering_stats(cache->stats());
     result.flops = scope.counter();
     return result;

@@ -28,7 +28,7 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
         local_cache.emplace(assembler);
         cache = &*local_cache;
     }
-    const mna::SystemCache::Stats stats_before = cache->stats();
+    const obs::SolverWork work_before = cache->stats();
 
     SwecStepper stepper(assembler, options, *cache, shared_cache);
     while (!stepper.done()) {
@@ -51,17 +51,8 @@ TranResult run_tran_swec(const mna::MnaAssembler& assembler,
     }
 
     TranResult result = stepper.take_result();
-    // Deltas over this run, so a shared cache reports per-analysis work.
-    result.solver_full_factors =
-        cache->stats().full_factors - stats_before.full_factors;
-    result.solver_fast_refactors =
-        cache->stats().fast_refactors - stats_before.fast_refactors;
-    result.solver_dense_solves =
-        cache->stats().dense_solves - stats_before.dense_solves;
-    result.solver_reused_solves =
-        cache->stats().reused_solves - stats_before.reused_solves;
-    result.solver_refinement_sweeps =
-        cache->stats().refinement_sweeps - stats_before.refinement_sweeps;
+    // Delta over this run, so a shared cache reports per-analysis work.
+    result.solver = cache->stats() - work_before;
     result.solver_ordering = make_ordering_stats(cache->stats());
     result.flops = scope.counter();
     return result;

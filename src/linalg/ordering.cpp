@@ -72,8 +72,6 @@ const char* ordering_name(Ordering o) noexcept {
         return "rcm";
     case Ordering::min_degree:
         return "min_degree";
-    case Ordering::automatic:
-        return "auto";
     }
     return "?";
 }

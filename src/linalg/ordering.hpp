@@ -40,15 +40,15 @@
 
 namespace nanosim::linalg {
 
-/// Ordering strategy selector (mna::SystemCache options / stats).
+/// A fill-reducing ordering (mna::SystemCache picks the one with the
+/// least predicted fill and reports it in its stats).
 enum class Ordering {
     natural,   ///< identity — keep assembly order
     rcm,       ///< reverse Cuthill-McKee (bandwidth reducing)
     min_degree,///< greedy minimum degree (the AMD family)
-    automatic, ///< pick the candidate with the least predicted fill
 };
 
-/// Human-readable name ("natural", "rcm", "min_degree", "auto").
+/// Human-readable name ("natural", "rcm", "min_degree").
 [[nodiscard]] const char* ordering_name(Ordering o) noexcept;
 
 /// A validated permutation of {0, .., n-1}.  Convention: new_to_old()[j]

@@ -269,18 +269,17 @@ private:
     linalg::Vector* rhs_ = nullptr;
 };
 
-SystemCache::SystemCache(const MnaAssembler& assembler, Options options)
+SystemCache::SystemCache(const MnaAssembler& assembler)
     // Union pattern dry-run: everything any engine may stamp per step.
     // Signature 0 = "hash the frozen pattern for me" (at construction
     // the frozen pattern IS the union pattern, in the same CSC order).
-    : SystemCache(assembler, options, union_stamp_pattern(assembler), 0) {}
+    : SystemCache(assembler, union_stamp_pattern(assembler), 0) {}
 
 SystemCache::SystemCache(
-    const MnaAssembler& assembler, Options options,
+    const MnaAssembler& assembler,
     std::vector<std::pair<std::size_t, std::size_t>> coords,
     std::uint64_t signature)
     : assembler_(&assembler),
-      options_(options),
       n_(static_cast<std::size_t>(assembler.unknowns())),
       signature_(signature) {
     freeze_pattern(std::move(coords));
@@ -425,29 +424,6 @@ void SystemCache::choose_ordering() {
         stats_.predicted_fill_chosen = fill;
         ordering_ = std::move(perm);
     };
-
-    switch (options_.ordering) {
-    case linalg::Ordering::natural:
-        return;
-    case linalg::Ordering::rcm: {
-        linalg::Permutation rcm =
-            linalg::reverse_cuthill_mckee(n_, col_ptr_, row_idx_);
-        const std::size_t fill =
-            linalg::predicted_fill(n_, col_ptr_, row_idx_, rcm);
-        adopt(linalg::Ordering::rcm, std::move(rcm), fill);
-        return;
-    }
-    case linalg::Ordering::min_degree: {
-        linalg::Permutation md =
-            linalg::min_degree_ordering(n_, col_ptr_, row_idx_);
-        const std::size_t fill =
-            linalg::predicted_fill(n_, col_ptr_, row_idx_, md);
-        adopt(linalg::Ordering::min_degree, std::move(md), fill);
-        return;
-    }
-    case linalg::Ordering::automatic:
-        break;
-    }
 
     // Auto-select: least predicted fill wins; natural keeps ties (it is
     // free — no gather, no rhs permutation).
@@ -731,7 +707,7 @@ void SystemCache::factor_and_solve(const linalg::Vector& rhs,
                 coords.emplace_back(o.row, o.col);
             }
             overflow_.clear();
-            x = solve_system(t, rhs, options_.dense_threshold);
+            x = solve_system(t, rhs, k_dense_threshold);
         }
         // The re-freeze bills its own time to analyze_s (it IS symbolic
         // analysis), so it runs outside the factor scope.
@@ -756,7 +732,7 @@ void SystemCache::factor_and_solve(const linalg::Vector& rhs,
                     dense_(row_idx_[p], c) += values_[p];
                 }
             }
-            lu.emplace(dense_, options_.pivot_tol);
+            lu.emplace(dense_, k_pivot_tol);
         } catch (const std::bad_alloc&) {
             throw AnalysisError(
                 "SystemCache::solve: factor allocation failed");
@@ -773,7 +749,7 @@ void SystemCache::factor_and_solve(const linalg::Vector& rhs,
         if (!lu_) {
             lu_ = std::make_unique<linalg::SparseLu>(
                 n_, col_ptr_, row_idx_, std::span<const double>(values_),
-                ordering_, options_.pivot_tol);
+                ordering_, k_pivot_tol);
             ++stats_.full_factors;
         } else if (lu_->refactor(std::span<const double>(values_))) {
             ++stats_.fast_refactors;

@@ -16,7 +16,7 @@
 //    one linear pass and hands back a Stamper whose writes scatter
 //    straight into the cached slots (binary search within one column) —
 //    no triplets, no allocation;
-//  * solve() auto-selects dense LU below `dense_threshold` unknowns and
+//  * solve() auto-selects dense LU below `k_dense_threshold` unknowns and
 //    otherwise factors once, then reuses the symbolic analysis through
 //    SparseLu::refactor() on every later step;
 //  * solve_reusing() skips even that refactor while the held LU still
@@ -48,6 +48,7 @@
 #include "linalg/sparse_lu.hpp"
 #include "mna/mna.hpp"
 #include "mna/stamp_program.hpp"
+#include "obs/report.hpp"
 
 namespace nanosim::mna {
 
@@ -85,25 +86,18 @@ stamp_pattern_signature(const MnaAssembler& assembler);
 /// near-linear instead of re-paying O(n^1.5) fill every accepted step.
 class SystemCache {
 public:
-    struct Options {
-        /// At or below this many unknowns the dense LU path is used
-        /// (mirrors mna::solve_system's auto-select).
-        std::size_t dense_threshold = 64;
-        double pivot_tol = 1e-13;
-        /// Node ordering for the sparse path.  `automatic` compares
-        /// predicted fill of natural vs RCM vs minimum-degree at freeze
-        /// time; the explicit values force one (tests / benches).
-        linalg::Ordering ordering = linalg::Ordering::automatic;
-    };
+    /// At or below this many unknowns the dense LU path is used (mirrors
+    /// mna::solve_system's auto-select).
+    static constexpr std::size_t k_dense_threshold = 64;
+    /// LU pivot tolerance on both paths.
+    static constexpr double k_pivot_tol = 1e-13;
 
-    explicit SystemCache(const MnaAssembler& assembler)
-        : SystemCache(assembler, Options{}) {}
-    SystemCache(const MnaAssembler& assembler, Options options);
+    explicit SystemCache(const MnaAssembler& assembler);
     /// Construct from an already-computed union pattern (the exact
     /// output of union_stamp_pattern(assembler) with its signature) —
     /// callers that key a registry by signature pay the stamp dry-run
     /// once instead of twice (SimSession).
-    SystemCache(const MnaAssembler& assembler, Options options,
+    SystemCache(const MnaAssembler& assembler,
                 std::vector<std::pair<std::size_t, std::size_t>> coords,
                 std::uint64_t signature);
     ~SystemCache();
@@ -227,45 +221,18 @@ public:
         return program_->tabulated_devices();
     }
 
-    struct Stats {
+    /// Lifetime totals of the solver work (the obs::SolverWork record;
+    /// steps = full_factors + fast_refactors + reused_solves +
+    /// dense_solves + pattern_rebuilds) plus the non-additive ordering
+    /// decision.  Callers take per-run work as `stats() - before`.
+    struct Stats : obs::SolverWork {
         std::size_t steps = 0;            ///< solve() calls
-        std::size_t full_factors = 0;     ///< symbolic + pivoting factors
-        std::size_t fast_refactors = 0;   ///< pattern-reusing refactors
-        std::size_t dense_solves = 0;     ///< dense-path solves
-        std::size_t pattern_rebuilds = 0; ///< overflow-triggered re-freezes
-        /// solve_reusing() calls answered through the held LU (no
-        /// refactor); steps = full_factors + fast_refactors +
-        /// reused_solves + dense_solves + pattern_rebuilds.
-        std::size_t reused_solves = 0;
-        /// Correction solves (x += LU^-1 r) taken by solve_reusing(),
-        /// whether the call was accepted or fell back to a refactor.
-        std::size_t refinement_sweeps = 0;
-        /// refactor() detected pivot degradation and fell back to a full
-        /// re-pivoting factorisation (a subset of full_factors after the
-        /// first one).
-        std::size_t pivot_fallbacks = 0;
         // ---- ordering decision (sparse path; natural/0 on dense) ----
         linalg::Ordering ordering = linalg::Ordering::natural; ///< chosen
         std::size_t pattern_nnz = 0;           ///< frozen pattern nonzeros
         std::size_t predicted_fill_natural = 0;///< symbolic L+U, natural
         std::size_t predicted_fill_chosen = 0; ///< symbolic L+U, chosen
         std::size_t factor_nnz = 0;            ///< actual L+U of the LU
-        // ---- per-step wall-time attribution (seconds, cumulative) ----
-        // analyze_s: symbolic analysis — pattern freeze, fill-reducing
-        // ordering selection, StampProgram compilation (freeze_pattern /
-        // rebind; the numeric half of the first LU stays in factor_s);
-        // eval_s: device-model evaluation (eval_chords); stamp_s: begin()
-        // baselines + restamps + gdiag; factor_s: LU factor/refactor
-        // (incl. dense build+factor and overflow rebuilds); solve_s:
-        // triangular solves, and solve_reusing()'s residuals and
-        // refinement.  NR restamps are fused eval+stamp and land in
-        // stamp_s.
-        double analyze_s = 0.0;
-        double eval_s = 0.0;
-        double stamp_s = 0.0;
-        double factor_s = 0.0;
-        double solve_s = 0.0;
-        std::size_t tables_built = 0; ///< ChordTable builds by this cache
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -300,7 +267,7 @@ public:
     void rebind(const MnaAssembler& assembler);
     /// True when this system is small enough for the dense auto-select.
     [[nodiscard]] bool dense_path() const noexcept {
-        return n_ <= options_.dense_threshold;
+        return n_ <= k_dense_threshold;
     }
 
 private:
@@ -349,7 +316,6 @@ private:
     static constexpr std::size_t k_npos = static_cast<std::size_t>(-1);
 
     const MnaAssembler* assembler_;
-    Options options_;
     std::size_t n_ = 0;
     std::uint64_t signature_ = 0;
 

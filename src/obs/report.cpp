@@ -10,6 +10,8 @@ namespace nanosim::obs {
 
 namespace {
 
+void append_number(std::ostream& os, std::uint64_t v) { os << v; }
+
 void append_number(std::ostream& os, double v) {
     if (!std::isfinite(v)) {
         os << "null";
@@ -64,24 +66,11 @@ std::string RunReport::to_json() const {
        << ",\"source_attempted\":" << rescues.source_attempted
        << ",\"source_succeeded\":" << rescues.source_succeeded
        << "},\"failed_trials\":" << failed_trials
-       << ",\"trials\":" << trials
-       << ",\"full_factors\":" << full_factors
-       << ",\"fast_refactors\":" << fast_refactors
-       << ",\"dense_solves\":" << dense_solves
-       << ",\"pivot_fallbacks\":" << pivot_fallbacks
-       << ",\"pattern_rebuilds\":" << pattern_rebuilds
-       << ",\"reused_solves\":" << reused_solves
-       << ",\"refinement_sweeps\":" << refinement_sweeps
-       << ",\"tables_built\":" << tables_built << ",\"analyze_s\":";
-    append_number(os, analyze_s);
-    os << ",\"eval_s\":";
-    append_number(os, eval_s);
-    os << ",\"stamp_s\":";
-    append_number(os, stamp_s);
-    os << ",\"factor_s\":";
-    append_number(os, factor_s);
-    os << ",\"solve_s\":";
-    append_number(os, solve_s);
+       << ",\"trials\":" << trials;
+    for_each_field(*this, [&os](const char* key, const auto& value) {
+        os << ",\"" << key << "\":";
+        append_number(os, value);
+    });
     os << ",\"cache_signature\":" << cache_signature
        << ",\"pool_tasks\":" << pool_tasks << ",\"pool_queue_wait_s\":";
     append_number(os, pool_queue_wait_s);

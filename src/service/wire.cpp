@@ -24,15 +24,18 @@ constexpr double k_max_exact_integer = 9007199254740992.0; // 2^53
 // Shared helpers
 // ---------------------------------------------------------------------
 
-/// Strict schema check: every key of `v` must be in `allowed` — a typo
-/// ("t_sop") must fail the request, not silently run the default.
+/// Strict schema check: every key of `v` must be in `allowed` (or pass
+/// `also_allowed`, for a record flattened into `v`) — a typo ("t_sop")
+/// must fail the request, not silently run the default.
 void check_keys(const Value& v,
                 std::initializer_list<std::string_view> allowed,
-                const char* what) {
+                const char* what,
+                bool (*also_allowed)(std::string_view) = nullptr) {
     for (const auto& [key, member] : v.as_object()) {
         (void)member;
         if (std::find(allowed.begin(), allowed.end(), key) ==
-            allowed.end()) {
+                allowed.end() &&
+            (also_allowed == nullptr || !also_allowed(key))) {
             throw ServiceError(std::string("unknown key \"") + key +
                                "\" in " + what);
         }
@@ -156,7 +159,6 @@ linalg::Ordering ordering_from(const std::string& name) {
     if (name == "natural") return linalg::Ordering::natural;
     if (name == "rcm") return linalg::Ordering::rcm;
     if (name == "min_degree") return linalg::Ordering::min_degree;
-    if (name == "auto") return linalg::Ordering::automatic;
     throw ServiceError("unknown ordering \"" + name + "\"");
 }
 
@@ -763,6 +765,49 @@ engines::McEnsembleState ens_state_from_json(const Value& v) {
 }
 
 // ---------------------------------------------------------------------
+// SolverWork: one codec over the record's field list
+// ---------------------------------------------------------------------
+
+Value field_to_json(std::uint64_t v) { return u64_value(v); }
+Value field_to_json(double v) { return Value(v); }
+void field_from_json(const Value& v, const char* key, std::uint64_t& out) {
+    out = u64_from(v, key);
+}
+void field_from_json(const Value& v, const char* /*key*/, double& out) {
+    out = v.as_number();
+}
+
+bool solver_work_key(std::string_view key) {
+    return std::apply(
+        [key](const auto&... field) { return ((key == field.first) || ...); },
+        SolverWork::fields());
+}
+
+/// Read every SolverWork field of `w` (a record derived from one, too)
+/// from `v`, which may hold other keys besides (the flat report).
+void read_solver_work(const Value& v, SolverWork& w) {
+    SolverWork::for_each_field(w, [&v](const char* key, auto& value) {
+        field_from_json(v.at(key), key, value);
+    });
+}
+
+/// The header's and the payloads' "solver" object.
+Value solver_work_to_json(const SolverWork& w) {
+    Value obj{Object{}};
+    SolverWork::for_each_field(w, [&obj](const char* key, const auto& value) {
+        obj.set(key, field_to_json(value));
+    });
+    return obj;
+}
+
+SolverWork solver_work_from_json(const Value& v) {
+    check_keys(v, {}, "solver work", solver_work_key);
+    SolverWork w;
+    read_solver_work(v, w);
+    return w;
+}
+
+// ---------------------------------------------------------------------
 // Result payloads
 // ---------------------------------------------------------------------
 
@@ -775,13 +820,8 @@ Value dc_result_to_json(const engines::DcResult& r) {
     obj.set("iterations", Value(r.iterations));
     obj.set("residual", Value(r.residual));
     obj.set("flops", flops_to_json(r.flops));
-    obj.set("solver_full_factors",
-            Value(static_cast<double>(r.solver_full_factors)));
-    obj.set("solver_fast_refactors",
-            Value(static_cast<double>(r.solver_fast_refactors)));
-    obj.set("solver_dense_solves",
-            Value(static_cast<double>(r.solver_dense_solves)));
-    obj.set("solver_ordering", ordering_to_json(r.solver_ordering));
+    obj.set("solver", solver_work_to_json(r.solver));
+    obj.set("ordering", ordering_to_json(r.solver_ordering));
     Array trace;
     trace.reserve(r.trace.size());
     for (const auto& x : r.trace) trace.push_back(vector_to_json(x));
@@ -792,9 +832,8 @@ Value dc_result_to_json(const engines::DcResult& r) {
 engines::DcResult dc_result_from_json(const Value& v) {
     check_keys(v,
                {"x", "converged", "aborted", "oscillation_detected",
-                "iterations", "residual", "flops", "solver_full_factors",
-                "solver_fast_refactors", "solver_dense_solves",
-                "solver_ordering", "trace"},
+                "iterations", "residual", "flops", "solver", "ordering",
+                "trace"},
                "dc result");
     engines::DcResult r;
     r.x = vector_from_json(v.at("x"));
@@ -804,13 +843,8 @@ engines::DcResult dc_result_from_json(const Value& v) {
     r.iterations = v.at("iterations").as_int();
     r.residual = v.at("residual").as_number();
     r.flops = flops_from_json(v.at("flops"));
-    r.solver_full_factors =
-        static_cast<std::size_t>(v.at("solver_full_factors").as_uint());
-    r.solver_fast_refactors =
-        static_cast<std::size_t>(v.at("solver_fast_refactors").as_uint());
-    r.solver_dense_solves =
-        static_cast<std::size_t>(v.at("solver_dense_solves").as_uint());
-    r.solver_ordering = ordering_from_json(v.at("solver_ordering"));
+    r.solver = solver_work_from_json(v.at("solver"));
+    r.solver_ordering = ordering_from_json(v.at("ordering"));
     for (const Value& e : v.at("trace").as_array())
         r.trace.push_back(vector_from_json(e));
     return r;
@@ -862,17 +896,8 @@ Value tran_result_to_json(const engines::TranResult& r) {
     obj.set("step_bounds", bounds_to_json(r.step_bounds));
     obj.set("rescues", rescues_to_json(r.rescues));
     obj.set("flops", flops_to_json(r.flops));
-    obj.set("solver_full_factors",
-            Value(static_cast<double>(r.solver_full_factors)));
-    obj.set("solver_fast_refactors",
-            Value(static_cast<double>(r.solver_fast_refactors)));
-    obj.set("solver_dense_solves",
-            Value(static_cast<double>(r.solver_dense_solves)));
-    obj.set("solver_reused_solves",
-            Value(static_cast<double>(r.solver_reused_solves)));
-    obj.set("solver_refinement_sweeps",
-            Value(static_cast<double>(r.solver_refinement_sweeps)));
-    obj.set("solver_ordering", ordering_to_json(r.solver_ordering));
+    obj.set("solver", solver_work_to_json(r.solver));
+    obj.set("ordering", ordering_to_json(r.solver_ordering));
     return obj;
 }
 
@@ -881,10 +906,7 @@ engines::TranResult tran_result_from_json(const Value& v) {
                {"node_waves", "aborted", "steps_accepted", "steps_rejected",
                 "nr_iterations", "nonconverged_steps", "min_dt_used",
                 "max_dt_used", "max_local_error", "avg_local_error",
-                "step_bounds", "rescues", "flops", "solver_full_factors",
-                "solver_fast_refactors", "solver_dense_solves",
-                "solver_reused_solves", "solver_refinement_sweeps",
-                "solver_ordering"},
+                "step_bounds", "rescues", "flops", "solver", "ordering"},
                "transient result");
     engines::TranResult r;
     r.node_waves = waves_from_json(v.at("node_waves"));
@@ -900,17 +922,8 @@ engines::TranResult tran_result_from_json(const Value& v) {
     r.step_bounds = bounds_from_json(v.at("step_bounds"));
     r.rescues = rescues_from_json(v.at("rescues"));
     r.flops = flops_from_json(v.at("flops"));
-    r.solver_full_factors =
-        static_cast<std::size_t>(v.at("solver_full_factors").as_uint());
-    r.solver_fast_refactors =
-        static_cast<std::size_t>(v.at("solver_fast_refactors").as_uint());
-    r.solver_dense_solves =
-        static_cast<std::size_t>(v.at("solver_dense_solves").as_uint());
-    r.solver_reused_solves =
-        static_cast<std::size_t>(v.at("solver_reused_solves").as_uint());
-    r.solver_refinement_sweeps = static_cast<std::size_t>(
-        v.at("solver_refinement_sweeps").as_uint());
-    r.solver_ordering = ordering_from_json(v.at("solver_ordering"));
+    r.solver = solver_work_from_json(v.at("solver"));
+    r.solver_ordering = ordering_from_json(v.at("ordering"));
     return r;
 }
 
@@ -999,61 +1012,8 @@ engines::EmEnsembleResult em_result_from_json(const Value& v) {
 }
 
 // ---------------------------------------------------------------------
-// Header / SolverWork / report
+// Header / report
 // ---------------------------------------------------------------------
-
-Value solver_work_to_json(const SolverWork& w) {
-    Value obj{Object{}};
-    obj.set("full_factors", Value(static_cast<double>(w.full_factors)));
-    obj.set("fast_refactors", Value(static_cast<double>(w.fast_refactors)));
-    obj.set("dense_solves", Value(static_cast<double>(w.dense_solves)));
-    obj.set("pivot_fallbacks",
-            Value(static_cast<double>(w.pivot_fallbacks)));
-    obj.set("pattern_rebuilds",
-            Value(static_cast<double>(w.pattern_rebuilds)));
-    obj.set("reused_solves", Value(static_cast<double>(w.reused_solves)));
-    obj.set("refinement_sweeps",
-            Value(static_cast<double>(w.refinement_sweeps)));
-    obj.set("analyze_s", Value(w.analyze_s));
-    obj.set("eval_s", Value(w.eval_s));
-    obj.set("stamp_s", Value(w.stamp_s));
-    obj.set("factor_s", Value(w.factor_s));
-    obj.set("solve_s", Value(w.solve_s));
-    obj.set("tables_built", Value(static_cast<double>(w.tables_built)));
-    return obj;
-}
-
-SolverWork solver_work_from_json(const Value& v) {
-    check_keys(v,
-               {"full_factors", "fast_refactors", "dense_solves",
-                "pivot_fallbacks", "pattern_rebuilds", "reused_solves",
-                "refinement_sweeps", "analyze_s", "eval_s", "stamp_s",
-                "factor_s", "solve_s", "tables_built"},
-               "solver work");
-    SolverWork w;
-    w.full_factors =
-        static_cast<std::size_t>(v.at("full_factors").as_uint());
-    w.fast_refactors =
-        static_cast<std::size_t>(v.at("fast_refactors").as_uint());
-    w.dense_solves =
-        static_cast<std::size_t>(v.at("dense_solves").as_uint());
-    w.pivot_fallbacks =
-        static_cast<std::size_t>(v.at("pivot_fallbacks").as_uint());
-    w.pattern_rebuilds =
-        static_cast<std::size_t>(v.at("pattern_rebuilds").as_uint());
-    w.reused_solves =
-        static_cast<std::size_t>(v.at("reused_solves").as_uint());
-    w.refinement_sweeps =
-        static_cast<std::size_t>(v.at("refinement_sweeps").as_uint());
-    w.analyze_s = v.at("analyze_s").as_number();
-    w.eval_s = v.at("eval_s").as_number();
-    w.stamp_s = v.at("stamp_s").as_number();
-    w.factor_s = v.at("factor_s").as_number();
-    w.solve_s = v.at("solve_s").as_number();
-    w.tables_built =
-        static_cast<std::size_t>(v.at("tables_built").as_uint());
-    return w;
-}
 
 AnalysisKind kind_from(const std::string& name) {
     if (name == "op") return AnalysisKind::op;
@@ -1097,6 +1057,13 @@ AnalysisHeader header_from_json(const Value& v) {
 /// past 2^53 — the header's string-capable copy is authoritative, so it
 /// is restored from `header` instead.
 obs::RunReport report_from_json(const Value& v, const AnalysisHeader& header) {
+    check_keys(v,
+               {"analysis", "kind", "engine", "elapsed_s", "aborted",
+                "steps_accepted", "steps_rejected", "nr_iterations",
+                "nonconverged_steps", "step_bounds", "min_dt", "max_dt",
+                "rescues", "failed_trials", "trials", "cache_signature",
+                "pool_tasks", "pool_queue_wait_s"},
+               "run report", solver_work_key);
     obs::RunReport r;
     r.analysis = v.at("analysis").as_string();
     r.kind = v.at("kind").as_string();
@@ -1114,21 +1081,7 @@ obs::RunReport report_from_json(const Value& v, const AnalysisHeader& header) {
     r.rescues = rescues_from_json(v.at("rescues"));
     r.failed_trials = u64_from(v.at("failed_trials"), "failed_trials");
     r.trials = u64_from(v.at("trials"), "trials");
-    r.full_factors = u64_from(v.at("full_factors"), "full_factors");
-    r.fast_refactors = u64_from(v.at("fast_refactors"), "fast_refactors");
-    r.dense_solves = u64_from(v.at("dense_solves"), "dense_solves");
-    r.pivot_fallbacks = u64_from(v.at("pivot_fallbacks"), "pivot_fallbacks");
-    r.pattern_rebuilds =
-        u64_from(v.at("pattern_rebuilds"), "pattern_rebuilds");
-    r.reused_solves = u64_from(v.at("reused_solves"), "reused_solves");
-    r.refinement_sweeps =
-        u64_from(v.at("refinement_sweeps"), "refinement_sweeps");
-    r.tables_built = u64_from(v.at("tables_built"), "tables_built");
-    r.analyze_s = v.at("analyze_s").as_number();
-    r.eval_s = v.at("eval_s").as_number();
-    r.stamp_s = v.at("stamp_s").as_number();
-    r.factor_s = v.at("factor_s").as_number();
-    r.solve_s = v.at("solve_s").as_number();
+    read_solver_work(v, r);
     r.cache_signature = header.cache_signature;
     r.pool_tasks = u64_from(v.at("pool_tasks"), "pool_tasks");
     r.pool_queue_wait_s = v.at("pool_queue_wait_s").as_number();

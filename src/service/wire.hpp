@@ -20,8 +20,14 @@
 //    decimal strings (JSON numbers are doubles); the parser accepts
 //    both spellings.
 //
-// Result encoding: full header (incl. the SolverWork split), the
-// engine-native payload, and the obs::RunReport.  Waveforms serialize as
+// Result encoding: full header, the engine-native payload, and the
+// obs::RunReport.  The solver-cache work (obs::SolverWork) is encoded
+// through its one field list: a "solver" object in the header and in
+// the op/tran payloads (the payload's ordering decision rides beside it
+// as "ordering"), flat keys in the report.  The header's record is the
+// whole run's, including the session cache's construction on a first
+// run; the payload's covers the engine call only.  Unknown keys are
+// rejected in every result block, as in specs.  Waveforms serialize as
 // {"label","t":[...],"v":[...]} with shortest-round-trip doubles, so a
 // result crossing the wire compares BIT-IDENTICAL to the in-process
 // AnalysisResult — the service acceptance criterion.  Two payload

@@ -122,12 +122,12 @@ void expect_agreement(const Circuit& ckt, const TranResult& a,
 /// auto-select) systems all solves are dense; on sparse systems nearly
 /// every step must be a fast refactor.
 void expect_cached_path(const TranResult& r, const std::string& who) {
-    const std::size_t solves = r.solver_dense_solves +
-                               r.solver_full_factors +
-                               r.solver_fast_refactors;
+    const std::size_t solves = r.solver.dense_solves +
+                               r.solver.full_factors +
+                               r.solver.fast_refactors;
     EXPECT_GT(solves, 0u) << who << ": no cached solves recorded";
-    if (r.solver_dense_solves == 0) {
-        EXPECT_LE(r.solver_full_factors, 3u)
+    if (r.solver.dense_solves == 0) {
+        EXPECT_LE(r.solver.full_factors, 3u)
             << who << ": sparse path refactored from scratch too often";
     }
 }
@@ -182,13 +182,13 @@ TEST(EngineConformance, SparseChainReusesSymbolicFactorisation) {
     const TranResult res = engines::run_tran_swec(assembler, opt);
 
     ASSERT_GT(res.steps_accepted, 10);
-    EXPECT_EQ(res.solver_dense_solves, 0u);
+    EXPECT_EQ(res.solver.dense_solves, 0u);
     // One symbolic factorisation for the whole run (the DC operating
     // point owns its own cache); every accepted step is a fast refactor
     // or a solve through the run's held LU.
-    EXPECT_LE(res.solver_full_factors, 2u)
+    EXPECT_LE(res.solver.full_factors, 2u)
         << "accepted-step loop is re-running the symbolic analysis";
-    EXPECT_GE(res.solver_fast_refactors + res.solver_reused_solves,
+    EXPECT_GE(res.solver.fast_refactors + res.solver.reused_solves,
               static_cast<std::size_t>(res.steps_accepted) - 2)
         << "accepted steps are not using the frozen symbolic analysis";
 }

@@ -114,11 +114,11 @@ TEST(SwecSolveReuse, Mesh16StaysWithin1nVOfRefactorEveryStep) {
 
     EXPECT_EQ(tr.steps_accepted, k_oracle_steps);
     // Most steps reuse the LU: at most a quarter refactor.
-    EXPECT_LE(tr.solver_full_factors, 1u); // the DC operating point
-    EXPECT_GT(tr.solver_reused_solves, 0u);
-    EXPECT_LE(4 * tr.solver_fast_refactors,
+    EXPECT_LE(tr.solver.full_factors, 1u); // the DC operating point
+    EXPECT_GT(tr.solver.reused_solves, 0u);
+    EXPECT_LE(4 * tr.solver.fast_refactors,
               static_cast<std::size_t>(tr.steps_accepted));
-    EXPECT_GE(tr.solver_refinement_sweeps, tr.solver_reused_solves);
+    EXPECT_GE(tr.solver.refinement_sweeps, tr.solver.reused_solves);
 
     double worst = 0.0;
     for (const OracleNode& node : oracle_nodes()) {

@@ -25,6 +25,9 @@
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
+#include "devices/mosfet.hpp"
+#include "devices/passives.hpp"
+#include "devices/rtd.hpp"
 #include "devices/sources.hpp"
 #include "devices/tabulated.hpp"
 #include "engines/dc_swec.hpp"
@@ -482,6 +485,109 @@ TEST(StampProgram, EngineOutputsMatchGoldenHashes) {
         }
     }
     EXPECT_EQ(checked, std::size(k_golden));
+}
+
+// ---------------------------------------------------------------------------
+// User-defined devices: classes the StampProgram does not recognise take
+// the generic path (virtual stamps, the assembler's rhs and gdiag
+// fallbacks) and must reproduce the built-in classes bit for bit.
+// ---------------------------------------------------------------------------
+
+struct UserRtd : Rtd {
+    using Rtd::Rtd;
+};
+struct UserMos : Mosfet {
+    using Mosfet::Mosfet;
+};
+
+/// refckt::fet_rtd_inverter with the device classes as parameters.
+template <typename RtdT, typename MosT>
+Circuit inverter_with() {
+    const refckt::InverterSpec spec;
+    Circuit ckt;
+    const NodeId vdd = ckt.node("vdd");
+    const NodeId in = ckt.node("in");
+    const NodeId out = ckt.node("out");
+    ckt.add<VSource>("VDD", vdd, k_ground, spec.v_dd);
+    ckt.add<VSource>(
+        "VIN", in, k_ground,
+        std::make_shared<PulseWave>(0.0, spec.v_dd, spec.period / 4.0,
+                                    spec.edge, spec.edge,
+                                    spec.period / 2.0 - spec.edge,
+                                    spec.period));
+    RtdParams load = spec.rtd;
+    load.a *= spec.load_area;
+    load.h *= spec.load_area;
+    ckt.add<RtdT>("RTDL", vdd, out, load);
+    ckt.add<RtdT>("RTDD", out, k_ground, spec.rtd);
+    MosfetParams mos;
+    mos.vth = 1.0;
+    mos.k = 2e-3;
+    mos.w = 20e-6;
+    mos.l = 1e-6;
+    ckt.add<MosT>("M1", out, in, k_ground, mos);
+    ckt.add<Capacitor>("COUT", out, k_ground, spec.c_out);
+    ckt.add<Capacitor>("CIN", in, k_ground, spec.c_out / 10.0);
+    return ckt;
+}
+
+/// refckt::rtd_chain with the RTD class as a parameter.
+template <typename RtdT>
+Circuit chain_with(int stages) {
+    const refckt::ChainSpec spec;
+    Circuit ckt;
+    const NodeId in = ckt.node("in");
+    ckt.add<VSource>(
+        "V1", in, k_ground,
+        std::make_shared<PulseWave>(0.0, spec.v_high, spec.period / 4.0,
+                                    spec.edge, spec.edge,
+                                    spec.period / 2.0 - spec.edge,
+                                    spec.period));
+    NodeId prev = in;
+    for (int i = 1; i <= stages; ++i) {
+        const std::string tag = std::to_string(i);
+        const NodeId node = ckt.node("n" + tag);
+        ckt.add<Resistor>("R" + tag, prev, node, spec.r);
+        ckt.add<RtdT>("RTD" + tag, node, k_ground, spec.rtd);
+        ckt.add<Capacitor>("C" + tag, node, k_ground, spec.c);
+        prev = node;
+    }
+    return ckt;
+}
+
+TEST(StampProgram, UserDefinedDevicesMatchBuiltInClasses) {
+    struct Pair {
+        const char* name;
+        Circuit builtin;
+        Circuit user;
+        bool dense;
+    };
+    Pair pairs[] = {
+        // 5 unknowns: the dense path.
+        {"inverter", inverter_with<Rtd, Mosfet>(),
+         inverter_with<UserRtd, UserMos>(), true},
+        // 102 unknowns: the sparse path.
+        {"rtd_chain100", chain_with<Rtd>(100), chain_with<UserRtd>(100),
+         false},
+    };
+    for (Pair& p : pairs) {
+        SimSession builtin(std::move(p.builtin));
+        SimSession user(std::move(p.user));
+        EXPECT_EQ(builtin.solver_cache().dense_path(), p.dense);
+        for (const TranEngine engine :
+             {TranEngine::swec, TranEngine::newton_raphson,
+              TranEngine::pwl}) {
+            TranSpec spec;
+            spec.engine = engine;
+            spec.t_stop = 400e-9; // two input pulse periods
+            const AnalysisResult a = builtin.run(spec);
+            const AnalysisResult b = user.run(spec);
+            SCOPED_TRACE(std::string(p.name) + " / " + a.header.engine);
+            ASSERT_GT(a.tran().steps_accepted, 10);
+            expect_waves_bit_identical(a.tran().node_waves,
+                                       b.tran().node_waves);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

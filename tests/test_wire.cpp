@@ -13,6 +13,7 @@
 #include <limits>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "core/ref_circuits.hpp"
 #include "core/sim_session.hpp"
@@ -278,24 +279,41 @@ TEST(WireResult, SparseTranSolverCountersRoundTrip) {
     const AnalysisResult direct = session.run(tran);
     ASSERT_GT(direct.header.solver.reused_solves, 0u);
     ASSERT_GT(direct.header.solver.refinement_sweeps, 0u);
-    ASSERT_GT(direct.tran().solver_reused_solves, 0u);
+    ASSERT_GT(direct.tran().solver.reused_solves, 0u);
     ASSERT_GT(direct.report.reused_solves, 0u);
 
     const json::Value encoded = wire::result_to_json(direct);
     const AnalysisResult back =
         wire::result_from_json(json::parse(encoded.dump()));
-    EXPECT_EQ(back.header.solver.reused_solves,
-              direct.header.solver.reused_solves);
-    EXPECT_EQ(back.header.solver.refinement_sweeps,
-              direct.header.solver.refinement_sweeps);
-    EXPECT_EQ(back.tran().solver_reused_solves,
-              direct.tran().solver_reused_solves);
-    EXPECT_EQ(back.tran().solver_refinement_sweeps,
-              direct.tran().solver_refinement_sweeps);
-    EXPECT_EQ(back.report.reused_solves, direct.report.reused_solves);
-    EXPECT_EQ(back.report.refinement_sweeps,
-              direct.report.refinement_sweeps);
+    // Each copy of the solver-work record comes back whole.
+    EXPECT_EQ(back.header.solver, direct.header.solver);
+    EXPECT_EQ(back.tran().solver, direct.tran().solver);
+    EXPECT_EQ(static_cast<const SolverWork&>(back.report),
+              static_cast<const SolverWork&>(direct.report));
     EXPECT_EQ(wire::result_to_json(back).dump(), encoded.dump());
+}
+
+TEST(WireResult, UnknownKeysAreRejected) {
+    SimSession session(refckt::rc_mesh(3, 3));
+    TranSpec tran;
+    tran.t_stop = 1e-9;
+    const json::Value encoded = wire::result_to_json(session.run(tran));
+    EXPECT_NO_THROW((void)wire::result_from_json(encoded));
+    // A misspelled key anywhere in a result document fails the decode,
+    // the report's flat solver-work fields included.
+    const std::vector<std::vector<std::string>> blocks = {
+        {"header"}, {"header", "solver"}, {"payload"},
+        {"payload", "solver"}, {"report"}};
+    for (const auto& path : blocks) {
+        json::Value doc = encoded;
+        json::Value* block = &doc;
+        for (const std::string& key : path) {
+            block = &block->as_object().at(key);
+        }
+        block->set("full_factorz", json::Value(1.0));
+        EXPECT_THROW((void)wire::result_from_json(doc), ServiceError)
+            << path.back();
+    }
 }
 
 TEST(WireResult, OpResultRoundTrips) {
